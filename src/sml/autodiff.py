@@ -3,8 +3,12 @@
 A ``Tape`` records every differentiable operation in execution order; calling
 :func:`backward` replays the records in exact reverse order, accumulating
 gradients with ``+=`` so fan-out is handled naturally.  Only the operations
-needed by the session/item encoders and ranking losses are provided -- there
-is deliberately no broadcasting beyond bias addition in :func:`dense`.
+needed by the session/item encoders and ranking losses are provided.  The
+elementwise ops take operands of one shape; the only broadcasts are bias
+addition in :func:`dense` and rows against a vector in
+:func:`cosine_distance`.  Matrix inputs to :func:`l2_normalize` and
+:func:`cosine_distance` are taken row by row, so a batch of items and its
+loss cost a handful of ops.
 
 Scalars are represented as 0-d arrays.  Training code runs in float32; the
 finite-difference checker :func:`grad_check` re-evaluates graphs in float64.
@@ -224,13 +228,6 @@ def reduce_sum(tape, x: Tensor) -> Tensor:
 # shape ops
 # ---------------------------------------------------------------------------
 
-def reshape(tape, x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    def back(g):
-        _accum(x, g.reshape(x.shape))
-
-    return _result(tape, "reshape", (x,), x.values.reshape(shape), back)
-
-
 def take_row(tape, x: Tensor, index: int) -> Tensor:
     if x.ndim != 2:
         raise ValueError("take_row expects a 2-d input")
@@ -301,9 +298,13 @@ def pad_rows(tape, x: Tensor, total_rows: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def embedding_lookup(tape, table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds into the table grad."""
-    if table.ndim != 2:
-        raise ValueError("embedding_lookup expects a 2-d table")
+    """Gather along axis 0: rows of a matrix, or entries of a vector.
+
+    Backward scatter-adds into the table grad, so a repeated index receives
+    the sum of its gradients.
+    """
+    if table.ndim not in (1, 2):
+        raise ValueError("embedding_lookup expects a 1-d or 2-d table")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ValueError("embedding_lookup expects a 1-d index list")
@@ -438,34 +439,41 @@ def conv1d(tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
 
 
 def l2_normalize(tape, x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Project a vector onto the unit sphere; the clamp keeps 0 finite."""
-    if x.ndim != 1:
-        raise ValueError("l2_normalize expects a 1-d input")
-    norm = float(np.linalg.norm(x.values))
-    clamped = norm < eps
-    denom = x.dtype.type(eps if clamped else norm)
+    """Project a vector, or each row of a matrix, onto the unit sphere.
+
+    A row with norm below ``eps`` is divided by ``eps``, so a zero row stays 0.
+    """
+    if x.ndim not in (1, 2):
+        raise ValueError("l2_normalize expects a 1-d or 2-d input")
+    norm = np.sqrt((x.values * x.values).sum(axis=-1, keepdims=True))
+    denom = np.maximum(norm, x.dtype.type(eps))
     y = x.values / denom
 
     def back(g):
-        if clamped:
-            _accum(x, g / denom)
-        else:
-            _accum(x, (g - y * (y @ g)) / denom)
+        # a clamped row is divided by a constant: no projection term
+        proj = (y * g).sum(axis=-1, keepdims=True) * (norm >= eps)
+        _accum(x, (g - y * proj) / denom)
 
     return _result(tape, "l2_normalize", (x,), y, back)
 
 
 def cosine_distance(tape, a: Tensor, b: Tensor) -> Tensor:
-    """``1 - a.b`` for unit vectors; plain algebra, no re-normalisation."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("cosine_distance expects 1-d inputs")
-    _require_same_shape("cosine_distance", a, b)
+    """``1 - a.b`` for unit vectors; plain algebra, no re-normalisation.
+
+    Compares two vectors, two matrices row by row, or every row of ``a``
+    with the vector ``b``.
+    """
+    rows_vs_vector = a.ndim == 2 and b.shape == a.shape[1:]
+    if not (rows_vs_vector or (a.shape == b.shape and a.ndim in (1, 2))):
+        raise ValueError(f"cosine_distance: cannot compare {a.shape} with {b.shape}")
+    dots = a.values @ b.values if b.ndim == 1 else (a.values * b.values).sum(axis=1)
 
     def back(g):
-        _accum(a, -g * b.values)
-        _accum(b, -g * a.values)
+        g_rows = g[:, None] if a.ndim == 2 else g
+        _accum(a, -g_rows * b.values)
+        _accum(b, -(g @ a.values) if rows_vs_vector else -g_rows * a.values)
 
-    values = np.asarray(a.dtype.type(1.0) - a.values @ b.values)
+    values = np.asarray(a.dtype.type(1.0) - dots)
     return _result(tape, "cosine_distance", (a, b), values, back)
 
 

@@ -42,7 +42,10 @@ class PopModel:
     order: list[int] = field(default_factory=list)
 
     def recommend(self, prefix, n: int) -> list[int]:
-        return pop_recommend(self, prefix, n)
+        """Global popularity, independent of the prefix."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        return self.order[:n]
 
 
 def fit_pop(train: Dataset) -> PopModel:
@@ -51,13 +54,6 @@ def fit_pop(train: Dataset) -> PopModel:
         for item in s.items:
             counts[item] += 1
     return PopModel(counts, _popularity_order(counts))
-
-
-def pop_recommend(model: PopModel, prefix, n: int) -> list[int]:
-    """Global popularity, independent of the prefix."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return model.order[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -69,21 +65,17 @@ class SPopModel:
     pop: PopModel
 
     def recommend(self, prefix, n: int) -> list[int]:
-        return spop_recommend(self, prefix, n)
+        """Items of the running session by frequency; recency breaks ties."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        count: Counter = Counter(prefix)
+        last_seen = {item: pos for pos, item in enumerate(prefix)}
+        in_session = sorted(count, key=lambda i: (-count[i], -last_seen[i], i))
+        return _fill_with_popularity(in_session, n, self.pop.order)
 
 
 def fit_spop(train: Dataset) -> SPopModel:
     return SPopModel(fit_pop(train))
-
-
-def spop_recommend(model: SPopModel, prefix, n: int) -> list[int]:
-    """Items of the running session by frequency; recency breaks ties."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    count: Counter = Counter(prefix)
-    last_seen = {item: pos for pos, item in enumerate(prefix)}
-    in_session = sorted(count, key=lambda i: (-count[i], -last_seen[i], i))
-    return _fill_with_popularity(in_session, n, model.pop.order)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +88,12 @@ class MarkovModel:
     pop: PopModel
 
     def recommend(self, prefix, n: int) -> list[int]:
-        return markov_recommend(self, prefix, n)
+        """Successors of the last item by transition count, then popularity."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        succ = self.transitions.get(prefix[-1], Counter())
+        ranked = sorted(succ, key=lambda i: (-succ[i], i))
+        return _fill_with_popularity(ranked, n, self.pop.order)
 
 
 def fit_markov(train: Dataset) -> MarkovModel:
@@ -105,15 +102,6 @@ def fit_markov(train: Dataset) -> MarkovModel:
         for a, b in zip(s.items, s.items[1:]):
             transitions[a][b] += 1
     return MarkovModel(dict(transitions), fit_pop(train))
-
-
-def markov_recommend(model: MarkovModel, prefix, n: int) -> list[int]:
-    """Successors of the last item by transition count, then popularity."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    succ = model.transitions.get(prefix[-1], Counter())
-    ranked = sorted(succ, key=lambda i: (-succ[i], i))
-    return _fill_with_popularity(ranked, n, model.pop.order)
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +119,41 @@ def constant_position_weight(position: int, length: int) -> float:
 
 @dataclass
 class SknnModel:
+    """Session KNN over item sets, weighting query items by prefix position.
+
+    With the default constant weights this is set-cosine SKNN; with
+    :func:`linear_position_weight` it is VSKNN, in which recent prefix items
+    count more.
+    """
     item_sets: list[frozenset]
     by_item: dict[int, list[int]]       # item -> session positions
     k: int
     pop: PopModel
+    position_weight: Callable[[int, int], float] = constant_position_weight
 
-    def recommend(self, prefix, n: int) -> list[int]:
-        return sknn_recommend(self, prefix, n)
+    def recommend(self, prefix, n: int, exclude_prefix: bool = False) -> list[int]:
+        """Score items by summed similarity of the neighbour sessions they occur in."""
+        if n < 1:
+            raise ValueError("n must be positive")
+        length = len(prefix)
+        weights: dict[int, float] = {}
+        for pos, item in enumerate(prefix, start=1):
+            weights[item] = max(weights.get(item, 0.0), self.position_weight(pos, length))
+
+        scores: dict[int, float] = defaultdict(float)
+        for sim, pos in _neighbours(self, weights):
+            for item in self.item_sets[pos]:
+                scores[item] += sim
+        if exclude_prefix:
+            for item in set(prefix):
+                scores.pop(item, None)
+        ranked = sorted(scores, key=lambda i: (-scores[i], i))
+        return _fill_with_popularity(ranked, n, self.pop.order)
 
 
-def fit_sknn(train: Dataset, k: int = 100) -> SknnModel:
+def fit_sknn(train: Dataset, k: int = 100,
+             position_weight: Callable[[int, int], float] = constant_position_weight
+             ) -> SknnModel:
     if k < 1:
         raise ValueError("k must be positive")
     item_sets = [frozenset(s.items) for s in train.sessions]
@@ -148,7 +161,7 @@ def fit_sknn(train: Dataset, k: int = 100) -> SknnModel:
     for pos, items in enumerate(item_sets):
         for item in items:
             by_item[item].append(pos)
-    return SknnModel(item_sets, dict(by_item), k, fit_pop(train))
+    return SknnModel(item_sets, dict(by_item), k, fit_pop(train), position_weight)
 
 
 def _neighbours(model: SknnModel, weights: dict[int, float]) -> list[tuple[float, int]]:
@@ -173,46 +186,3 @@ def _neighbours(model: SknnModel, weights: dict[int, float]) -> list[tuple[float
         scored.append((sim, pos))
     scored.sort(key=lambda t: (-t[0], t[1]))
     return scored[:model.k]
-
-
-def sknn_recommend(model: SknnModel, prefix, n: int,
-                   position_weight: Callable[[int, int], float] = constant_position_weight,
-                   exclude_prefix: bool = False) -> list[int]:
-    """Score items by summed similarity of the neighbour sessions they occur in.
-
-    With the default constant weights this is set-cosine session KNN; pass a
-    position weight function (see :func:`vsknn_recommend`) to emphasise
-    recent prefix items.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    length = len(prefix)
-    weights: dict[int, float] = {}
-    for pos, item in enumerate(prefix, start=1):
-        weights[item] = max(weights.get(item, 0.0), position_weight(pos, length))
-
-    scores: dict[int, float] = defaultdict(float)
-    for sim, pos in _neighbours(model, weights):
-        for item in model.item_sets[pos]:
-            scores[item] += sim
-    if exclude_prefix:
-        for item in set(prefix):
-            scores.pop(item, None)
-    ranked = sorted(scores, key=lambda i: (-scores[i], i))
-    return _fill_with_popularity(ranked, n, model.pop.order)
-
-
-def vsknn_recommend(model: SknnModel, prefix, n: int,
-                    exclude_prefix: bool = False) -> list[int]:
-    """SKNN with linearly decaying weights: recent prefix items count more."""
-    return sknn_recommend(model, prefix, n, position_weight=linear_position_weight,
-                          exclude_prefix=exclude_prefix)
-
-
-@dataclass
-class VSknnRecommender:
-    """Protocol adapter so the weighted variant plugs into the evaluator."""
-    model: SknnModel
-
-    def recommend(self, prefix, n: int) -> list[int]:
-        return vsknn_recommend(self.model, prefix, n)

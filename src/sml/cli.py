@@ -14,15 +14,13 @@ import os
 import sys
 
 from . import baselines, data, evaluation, index, losses, sampling, trainer
-from .encoders import ModelConfig, build_model
+from .encoders import ENCODER_KINDS, ModelConfig, build_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
-ENCODERS = ("MaxPool", "AvgPool", "GRU", "TextCNN")
-LOSSES = ("BPR", "TOP1", "Contrastive", "Triplet", "NCAS")
 BASELINE_METHODS = ("POP", "SPOP", "MARKOV1", "SKNN", "VSKNN")
 
 
@@ -73,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True, help="model file to write")
     p.add_argument("--history-out", default=None,
                    help="training history CSV (default: <model-out>.history.csv)")
-    p.add_argument("--encoder", default="MaxPool", choices=ENCODERS,
+    p.add_argument("--encoder", default="MaxPool", choices=ENCODER_KINDS,
                    help="session encoder")
-    p.add_argument("--loss", default="Triplet", choices=LOSSES,
+    p.add_argument("--loss", default="Triplet", choices=losses.LOSS_KINDS,
                    help="training loss")
     p.add_argument("--dim", type=int, default=400, help="embedding width")
     p.add_argument("--common-embedding", action=Bool, default=True,
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kld-model-first", action=Bool, default=False,
                    help="swap the KL divergence direction in NCAS")
     p.add_argument("--strategy", default="posneg",
-                   choices=("posneg", "sliding_window"), help="epoch sampler")
+                   choices=sampling.STRATEGIES, help="epoch sampler")
     p.add_argument("--samples-per-session", type=int, default=8,
                    help="positive/negative pairs per example")
     p.add_argument("--window-size", type=int, default=4,
@@ -302,8 +300,8 @@ def _build_method(args) -> tuple[evaluation.Recommender, data.Dataset]:
         return baselines.fit_markov(train_ds), test
     if method == "SKNN":
         return baselines.fit_sknn(train_ds, k=args.sknn_k), test
-    return baselines.VSknnRecommender(
-        baselines.fit_sknn(train_ds, k=args.sknn_k)), test
+    return baselines.fit_sknn(train_ds, k=args.sknn_k,
+                              position_weight=baselines.linear_position_weight), test
 
 
 def cmd_evaluate(args) -> int:

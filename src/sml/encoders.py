@@ -2,7 +2,8 @@
 
 Both encoders end in a tanh feed-forward stack followed by L2 normalisation,
 so a session representation and an item representation can be compared with
-cosine distance.  Four session encoder kinds are supported:
+cosine distance.  Items are always encoded in batches, as the rows of one
+matrix (:func:`encode_items`).  Four session encoder kinds are supported:
 
 * ``MaxPool`` / ``AvgPool`` -- order-insensitive pooling over the embedded
   prefix.
@@ -163,15 +164,24 @@ def build_model(config: ModelConfig, seed: int) -> Model:
         config, {name: ad.parameter(arr) for name, arr in arrays.items()})
 
 
-def encode_item(model: Model, item: int, tape: ad.Tape | None = None) -> ad.Tensor:
-    """Embedding row -> tanh feed-forward -> unit sphere."""
-    rows = ad.embedding_lookup(tape, model.item_embedding, [item])
-    vec = ad.reshape(tape, rows, (model.config.embedding_dim,))
+def encode_items(model: Model, items, tape: ad.Tape | None = None) -> ad.Tensor:
+    """Embedding rows -> tanh feed-forward -> unit sphere, one row per item.
+
+    The only item encoder: training calls it once per example on the
+    example's candidates, :func:`item_embedding_matrix` on the vocabulary.
+    """
+    rows = ad.embedding_lookup(tape, model.item_embedding, list(items))
     w, b = model.item_ff
-    vec = ad.dense(tape, vec, w, b, activation="tanh")
+    vecs = ad.dense(tape, rows, w, b, activation="tanh")
     if model.config.normalize_outputs:
-        vec = ad.l2_normalize(tape, vec)
-    return vec
+        vecs = ad.l2_normalize(tape, vecs)
+    return vecs
+
+
+def session_window(config: ModelConfig, prefix) -> list[int]:
+    """The last ``max_session_length`` items of a prefix: the window the
+    encoder sees, in training and in serving alike."""
+    return list(prefix)[-config.max_session_length:]
 
 
 def encode_session(model: Model, prefix, tape: ad.Tape | None = None) -> ad.Tensor:
@@ -210,19 +220,15 @@ def encode_session(model: Model, prefix, tape: ad.Tape | None = None) -> ad.Tens
     return core
 
 
-def score(model: Model, prefix, item: int) -> float:
-    """Similarity of a session prefix and an item: 1 - cosine distance."""
-    session_vec = encode_session(model, prefix)
-    item_vec = encode_item(model, item)
-    dist = float(ad.cosine_distance(None, session_vec, item_vec).values)
-    return 1.0 - dist
-
-
 def item_embedding_matrix(model: Model) -> np.ndarray:
     """All item encodings, one unit row per vocabulary index.
 
-    Built with the same per-item path as :func:`encode_item`, so rows agree
-    with training-time encodings bit for bit.
+    Built by one :func:`encode_items` call over the vocabulary.  Its rows
+    equal training-time encodings bit for bit: training always encodes at
+    least two candidates (a positive and a distinct negative), so both go
+    through the same matrix-matrix product, whose rows do not depend on how
+    many other rows it computes.  A one-row product would go to numpy's
+    vector kernel, which may round differently.
     """
-    rows = [encode_item(model, i).values for i in range(model.config.vocab_size)]
-    return np.stack(rows).astype(np.float32, copy=False)
+    matrix = encode_items(model, range(model.config.vocab_size)).values
+    return matrix.astype(np.float32, copy=False)

@@ -1,10 +1,12 @@
 """Exact retrieval over encoded items, plus model save/load.
 
-The index is a dense matrix of item encodings; a query is scored against
-every row with one matrix-vector product, which under the shared-space
-scoring rule (similarity = 1 - distance = dot product of the encoded
-vectors) reproduces per-item scoring exactly, not approximately.  Ranking
-ties break on ascending item index via a stable sort.
+The index is the matrix of item encodings built by
+:func:`encoders.item_embedding_matrix`, whose rows equal the encodings
+training compares sessions with.  A query is scored against every row with
+one matrix-vector product: under the shared-space scoring rule, similarity
+= 1 - cosine distance = dot product of the encoded vectors, so retrieval is
+exact, not approximate.  Ranking ties break on ascending item index via a
+stable sort.
 
 Models are persisted in a small versioned binary container: a magic tag,
 a JSON header carrying the encoder configuration and the item vocabulary,
@@ -18,7 +20,9 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +87,6 @@ class ItemIndex:
         return out
 
 
-def build_index(model: Model) -> ItemIndex:
-    return ItemIndex.from_model(model)
-
-
 @dataclass
 class SmlRecommender:
     """Adapts a trained model to the evaluation protocol.
@@ -103,7 +103,7 @@ class SmlRecommender:
         return cls(model, ItemIndex.from_model(model))
 
     def recommend_scored(self, prefix, n: int) -> list[tuple[int, float]]:
-        window = list(prefix)[-self.model.config.max_session_length:]
+        window = encoders.session_window(self.model.config, prefix)
         session_vec = encoders.encode_session(self.model, window)
         return self.index.topn(session_vec.values, n)
 
@@ -147,7 +147,8 @@ def model_to_bytes(model: Model, vocab: ItemVocab) -> bytes:
 
 
 def _read_exact(handle, count: int) -> bytes:
-    data = handle.read(count)
+    # a corrupt size field can exceed what any read can request
+    data = handle.read(count) if count <= sys.maxsize else b""
     if len(data) != count:
         raise ModelFormatError("model file is truncated")
     return data
@@ -155,17 +156,38 @@ def _read_exact(handle, count: int) -> bytes:
 
 def _read_tensor(handle) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(handle, 2))
-    name = _read_exact(handle, name_len).decode("utf-8")
+    try:
+        name = _read_exact(handle, name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"bad tensor name: {exc}") from exc
     (ndim,) = struct.unpack("<B", _read_exact(handle, 1))
     shape = tuple(struct.unpack("<I", _read_exact(handle, 4))[0]
                   for _ in range(ndim))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw = _read_exact(handle, 4 * count)
-    values = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    raw = _read_exact(handle, 4 * math.prod(shape))
+    try:  # numpy cannot make every shape a header can claim, e.g. 65 axes
+        values = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    except ValueError as exc:
+        raise ModelFormatError(f"bad shape for tensor {name!r}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"tensor {name!r} holds non-finite values")
     return name, values
 
 
+def _config_from_header(fields) -> ModelConfig:
+    """The encoder configuration, each field of the type the saver writes."""
+    reference = {**dataclasses.asdict(ModelConfig(vocab_size=1)),
+                 "conv_filter_sizes": []}  # a tuple, written as a JSON list
+    if not (isinstance(fields, dict) and fields.keys() == reference.keys()
+            and all(type(fields[k]) is type(v) for k, v in reference.items())
+            and all(type(k) is int for k in fields["conv_filter_sizes"])):
+        raise ModelFormatError("bad model header: config fields or their types "
+                               "do not match the format")
+    return ModelConfig(**{**fields,
+                          "conv_filter_sizes": tuple(fields["conv_filter_sizes"])})
+
+
 def model_from_bytes(data: bytes) -> tuple[Model, ItemVocab]:
+    """Parse a model file, rejecting anything :func:`model_to_bytes` cannot write."""
     handle = io.BytesIO(data)
     if handle.read(4) != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
@@ -175,14 +197,16 @@ def model_from_bytes(data: bytes) -> tuple[Model, ItemVocab]:
     (header_len,) = struct.unpack("<Q", _read_exact(handle, 8))
     try:
         header = json.loads(_read_exact(handle, header_len))
-        config = ModelConfig(**{
-            **header["config"],
-            "conv_filter_sizes": tuple(header["config"]["conv_filter_sizes"]),
-        })
-        ids = list(header["vocab"]["ids"])
-        counts = list(header["vocab"]["counts"])
+        config = _config_from_header(header["config"])
+        ids = header["vocab"]["ids"]
+        counts = header["vocab"]["counts"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelFormatError(f"bad model header: {exc}") from exc
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            and isinstance(counts, list)
+            and all(type(c) is int and c >= 0 for c in counts)):
+        raise ModelFormatError("vocabulary ids must be strings, counts "
+                               "non-negative integers")
 
     (n_tensors,) = struct.unpack("<I", _read_exact(handle, 4))
     tensors = {}
@@ -201,9 +225,12 @@ def model_from_bytes(data: bytes) -> tuple[Model, ItemVocab]:
         vocab.add(item_id)
     if len(vocab) != len(ids):
         raise ModelFormatError("duplicate ids in model vocabulary")
+    if len(ids) != config.vocab_size:
+        raise ModelFormatError(f"vocabulary has {len(ids)} ids, the model "
+                               f"{config.vocab_size} items")
     if len(counts) != len(ids):
         raise ModelFormatError("vocabulary counts do not match ids")
-    vocab.counts = [int(c) for c in counts]
+    vocab.counts = list(counts)
     return model, vocab
 
 

@@ -1,10 +1,11 @@
 """Ranking losses expressed over cosine distances.
 
-All losses consume scalar distance tensors ``dist_pos`` (session to observed
-next item) and ``dist_neg`` (session to a sampled negative) and are minimised
-when positives are pulled close and negatives pushed away.  The per-session
-objective weights sampled positions j = 0, 1, ... by sqrt(1/(1+j)) so that
-the immediate continuation dominates.
+The pairwise losses consume distance tensors ``dist_pos`` (session to
+observed next item) and ``dist_neg`` (session to a sampled negative) of any
+one shape and act elementwise, so one call scores every position of an
+example; they are minimised when positives are pulled close and negatives
+pushed away.  The per-session objective weights sampled positions
+j = 0, 1, ... by sqrt(1/(1+j)) so that the immediate continuation dominates.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class LossConfig:
 
 
 def _const_like(reference: ad.Tensor, value: float) -> ad.Tensor:
-    return ad.constant(np.asarray(value, dtype=reference.dtype))
+    return ad.constant(np.full(reference.shape, value, dtype=reference.dtype))
 
 
 def bpr_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
@@ -60,10 +61,9 @@ def top1_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
     return ad.add(tape, rank, reg)
 
 
-def contrastive_loss(tape, vec_a: ad.Tensor, vec_b: ad.Tensor, same_class: bool,
+def contrastive_loss(tape, dist: ad.Tensor, same_class: bool,
                      margin: float = 0.3) -> ad.Tensor:
     """Pull same-class pairs together, push different pairs past the margin."""
-    dist = ad.cosine_distance(tape, vec_a, vec_b)
     if same_class:
         return dist
     return ad.relu(tape, ad.sub(tape, dist, _const_like(dist, margin)))
@@ -94,15 +94,18 @@ def position_weight(j: int) -> float:
     return math.sqrt(1.0 / (1.0 + j))
 
 
-def ncas_from_distances(tape, dists: list[ad.Tensor], positive_flags: list[bool],
+def ncas_from_distances(tape, dists: ad.Tensor, positive_flags: list[bool],
                         epsilon: float = 0.3, model_first: bool = False) -> ad.Tensor:
     """KL divergence between a smoothed target and softmax(-distances).
 
-    The target is uniform over the flagged positives, smoothed to
+    ``dists`` is the vector of session-to-candidate distances.  The target
+    is uniform over the flagged positives, smoothed to
     (1 - eps) * target + eps / n over the whole candidate list.  By default
     the loss is KLD(target || model); ``model_first`` flips the arguments.
     """
-    n = len(dists)
+    if dists.ndim != 1:
+        raise ValueError("dists must be a vector")
+    n = dists.shape[0]
     if n == 0:
         raise ValueError("candidate list is empty")
     if len(positive_flags) != n:
@@ -114,8 +117,7 @@ def ncas_from_distances(tape, dists: list[ad.Tensor], positive_flags: list[bool]
     hard = np.array([1.0 / n_pos if f else 0.0 for f in positive_flags])
     target = (1.0 - epsilon) * hard + epsilon / n
 
-    stacked = ad.stack_scalars(tape, dists)
-    logits = ad.scale(tape, stacked, -1.0)
+    logits = ad.scale(tape, dists, -1.0)
     log_model = ad.log_softmax(tape, logits)
     target_c = ad.constant(target.astype(log_model.dtype))
 
@@ -133,78 +135,65 @@ def ncas_from_distances(tape, dists: list[ad.Tensor], positive_flags: list[bool]
     return ad.add(tape, _const_like(cross, entropy), ad.scale(tape, cross, -1.0))
 
 
+def _encode_candidates(tape, model: encoders.Model, prefix,
+                       candidates: list[int]) -> tuple[ad.Tensor, ad.Tensor]:
+    """Candidate encodings (rows) and their distances to the encoded session."""
+    session_vec = encoders.encode_session(model, prefix, tape)
+    item_vecs = encoders.encode_items(model, candidates, tape)
+    return item_vecs, ad.cosine_distance(tape, item_vecs, session_vec)
+
+
 def ncas_loss(tape, model: encoders.Model, prefix, candidates: list[int],
               positive_flags: list[bool], epsilon: float = 0.3,
               model_first: bool = False) -> ad.Tensor:
     """Candidate-set softmax loss against the encoded session."""
     if len(set(candidates)) != len(candidates):
         raise ValueError("candidate items must be distinct")
-    session_vec = encoders.encode_session(model, prefix, tape)
-    dists = [ad.cosine_distance(tape, session_vec, encoders.encode_item(model, c, tape))
-             for c in candidates]
+    _, dists = _encode_candidates(tape, model, prefix, candidates)
     return ncas_from_distances(tape, dists, positive_flags, epsilon, model_first)
-
-
-def session_triplet_objective(tape, model: encoders.Model, prefix,
-                              positives: list[int], negatives: list[int],
-                              cfg: LossConfig) -> ad.Tensor:
-    """Position-weighted sum of triplet terms for one session example."""
-    return session_loss(tape, model, prefix, positives, negatives,
-                        LossConfig(kind="Triplet", margin=cfg.margin,
-                                   use_margin=cfg.use_margin, use_swap=cfg.use_swap,
-                                   position_weighting=cfg.position_weighting))
 
 
 def session_loss(tape, model: encoders.Model, prefix, positives: list[int],
                  negatives: list[int], cfg: LossConfig) -> ad.Tensor:
-    """Loss of one training example under any configured loss kind."""
+    """Loss of one training example under any configured loss kind.
+
+    The pairwise losses act on vectors of distances, one entry per position.
+    """
     if len(positives) != len(negatives):
         raise ValueError("positives and negatives must pair up")
     if not positives:
         raise ValueError("example has no positives")
 
+    # distinct candidates, positives first; a repeated positive keeps one
+    # slot, and for NCAS adds nothing to a set-softmax target
+    items = list(dict.fromkeys(positives + negatives))
     if cfg.kind == "NCAS":
-        # candidate set must be duplicate-free; repeats of a positive carry
-        # no extra information for a set-softmax target
-        seen: dict[int, bool] = {}
-        for p in positives:
-            seen.setdefault(p, True)
-        for n in negatives:
-            seen.setdefault(n, False)
-        items = list(seen)
-        flags = [seen[i] for i in items]
+        flags = [item in positives for item in items]
         return ncas_loss(tape, model, prefix, items, flags, cfg.epsilon,
                          cfg.kld_model_first)
 
-    session_vec = encoders.encode_session(model, prefix, tape)
-    item_vecs: dict[int, ad.Tensor] = {}
-
-    def vec(item: int) -> ad.Tensor:
-        if item not in item_vecs:
-            item_vecs[item] = encoders.encode_item(model, item, tape)
-        return item_vecs[item]
-
-    terms = []
-    for j, (pos, neg) in enumerate(zip(positives, negatives)):
-        if cfg.kind == "Contrastive":
-            pull = contrastive_loss(tape, session_vec, vec(pos), True, cfg.margin)
-            push = contrastive_loss(tape, session_vec, vec(neg), False, cfg.margin)
-            term = ad.add(tape, pull, push)
-        else:
-            dist_pos = ad.cosine_distance(tape, session_vec, vec(pos))
-            dist_neg = ad.cosine_distance(tape, session_vec, vec(neg))
-            if cfg.kind == "Triplet":
-                dist_pos_neg = (ad.cosine_distance(tape, vec(pos), vec(neg))
-                                if cfg.use_swap else None)
-                term = triplet_loss(tape, dist_pos, dist_neg, dist_pos_neg,
-                                    cfg.margin, cfg.use_margin, cfg.use_swap)
-            elif cfg.kind == "BPR":
-                term = bpr_loss(tape, dist_pos, dist_neg)
-            else:
-                term = top1_loss(tape, dist_pos, dist_neg)
-        if cfg.position_weighting:
-            term = ad.scale(tape, term, position_weight(j))
-        terms.append(term)
-    if len(terms) == 1:
-        return terms[0]
-    return ad.reduce_sum(tape, ad.stack_scalars(tape, terms))
+    item_vecs, dists = _encode_candidates(tape, model, prefix, items)
+    slot = {item: k for k, item in enumerate(items)}
+    pos_slots = [slot[p] for p in positives]
+    neg_slots = [slot[n] for n in negatives]
+    dist_pos = ad.embedding_lookup(tape, dists, pos_slots)
+    dist_neg = ad.embedding_lookup(tape, dists, neg_slots)
+    if cfg.kind == "Contrastive":
+        terms = ad.add(tape, contrastive_loss(tape, dist_pos, True, cfg.margin),
+                       contrastive_loss(tape, dist_neg, False, cfg.margin))
+    elif cfg.kind == "Triplet":
+        dist_pos_neg = None
+        if cfg.use_swap:
+            dist_pos_neg = ad.cosine_distance(
+                tape, ad.embedding_lookup(tape, item_vecs, pos_slots),
+                ad.embedding_lookup(tape, item_vecs, neg_slots))
+        terms = triplet_loss(tape, dist_pos, dist_neg, dist_pos_neg,
+                             cfg.margin, cfg.use_margin, cfg.use_swap)
+    elif cfg.kind == "BPR":
+        terms = bpr_loss(tape, dist_pos, dist_neg)
+    else:
+        terms = top1_loss(tape, dist_pos, dist_neg)
+    if cfg.position_weighting:
+        weights = [position_weight(j) for j in range(len(positives))]
+        terms = ad.mul(tape, terms, ad.constant(weights, dtype=terms.dtype))
+    return ad.reduce_sum(tape, terms)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation, losses, sampling
 from .data import Dataset
-from .encoders import Model
+from .encoders import Model, session_window
 from .index import SmlRecommender
 
 
@@ -144,8 +144,9 @@ def train(train_data: Dataset, model: Model,
         for lo in range(0, len(examples), train_cfg.batch_size):
             batch = examples[lo:lo + train_cfg.batch_size]
             tape = ad.Tape()
-            terms = [losses.session_loss(tape, model, ex.prefix, ex.positives,
-                                         ex.negatives, loss_cfg)
+            terms = [losses.session_loss(
+                         tape, model, session_window(model.config, ex.prefix),
+                         ex.positives, ex.negatives, loss_cfg)
                      for ex in batch]
             batch_loss = _mean_loss(tape, terms)
             if not np.isfinite(batch_loss.values):

@@ -33,3 +33,14 @@ def encoder_loss_builder(config, loss_fn, seed=3):
         return loss_fn(tape, model)
 
     return params, build
+
+
+def numpy_item_vectors(model, items):
+    """Item encodings recomputed in float64 straight from the parameters:
+    embedding row -> tanh dense -> unit length."""
+    table = model.item_embedding.values.astype(np.float64)
+    w, b = (t.values.astype(np.float64) for t in model.item_ff)
+    vecs = np.tanh(table[list(items)] @ w + b)
+    if model.config.normalize_outputs:
+        vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vecs

@@ -189,7 +189,8 @@ def _check_contrastive(trial):
     params = {"a": a, "b": b}
 
     def build(tape, ts):
-        return losses.contrastive_loss(tape, ts["a"], ts["b"], same, margin=0.3)
+        return losses.contrastive_loss(
+            tape, ad.cosine_distance(tape, ts["a"], ts["b"]), same, margin=0.3)
 
     return ad.grad_check(build, params)
 
@@ -234,7 +235,7 @@ def _ncas_units(model_first):
                   for i in range(count)}
 
         def build(tape, ts):
-            dists = [ts[f"d{i}"] for i in range(count)]
+            dists = ad.stack_scalars(tape, [ts[f"d{i}"] for i in range(count)])
             return losses.ncas_from_distances(tape, dists, flags,
                                               epsilon=0.3,
                                               model_first=model_first)
@@ -301,7 +302,7 @@ def test_criterion_02_loss_identities():
 
     # softmax of negated distances equals the smoothed target (0.85, 0.15)
     gap = float(np.log(0.85 / 0.15))
-    dists = [ad.constant(np.array(0.2)), ad.constant(np.array(0.2 + gap))]
+    dists = ad.constant(np.array([0.2, 0.2 + gap]))
     v = float(losses.ncas_from_distances(None, dists, [True, False],
                                          epsilon=0.3).values)
     checks.append(("ncas(match)=0", abs(v) <= 1e-6, v))
@@ -390,21 +391,21 @@ def test_criterion_04_baseline_oracles():
 
     sknn = baselines.fit_sknn(train, k=2)
     expect("sknn {0,1}", sknn.recommend([0, 1], 6), [1, 2, 0, 3, 4, 5])
-    expect("vsknn [1,0]", baselines.vsknn_recommend(sknn, [1, 0], 4),
-           [0, 2, 1, 3])
-    expect("vsknn [0,1]", baselines.vsknn_recommend(sknn, [0, 1], 4),
-           [1, 2, 0, 3])
+    vsknn = baselines.fit_sknn(
+        train, k=2, position_weight=baselines.linear_position_weight)
+    expect("vsknn [1,0]", vsknn.recommend([1, 0], 4), [0, 2, 1, 3])
+    expect("vsknn [0,1]", vsknn.recommend([0, 1], 4), [1, 2, 0, 3])
 
     # degeneracy: constant position weights must reduce VSKNN to SKNN
     model = baselines.fit_sknn(train, k=3)
+    const_model = baselines.fit_sknn(
+        train, k=3, position_weight=baselines.constant_position_weight)
     rng = np.random.default_rng(404)
     for _ in range(100):
         prefix = [int(i) for i in rng.integers(0, 8,
                                                size=int(rng.integers(1, 6)))]
-        plain = baselines.sknn_recommend(model, prefix, 6)
-        const = baselines.sknn_recommend(
-            model, prefix, 6,
-            position_weight=baselines.constant_position_weight)
+        plain = model.recommend(prefix, 6)
+        const = const_model.recommend(prefix, 6)
         if plain != const:
             problems.append(f"degeneracy broke on prefix {prefix}")
             break

@@ -74,6 +74,29 @@ class TestForwardValues:
         out = ad.l2_normalize(None, ad.constant(np.zeros(4)))
         assert np.all(np.isfinite(out.values))
 
+    def test_l2_normalize_rows_keep_zero_row_zero(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [-1.0, 0.0]])
+        out = ad.l2_normalize(None, ad.constant(x))
+        np.testing.assert_allclose(out.values, [[0.6, 0.8], [0.0, 0.0], [-1.0, 0.0]])
+
+    def test_l2_normalize_rows_match_vector_path(self):
+        x = np.random.default_rng(3).normal(size=(5, 7)).astype(np.float32)
+        rows = ad.l2_normalize(None, ad.constant(x)).values
+        for i in range(5):
+            np.testing.assert_allclose(
+                rows[i], ad.l2_normalize(None, ad.constant(x[i])).values, atol=1e-7)
+
+    def test_cosine_distance_shapes(self):
+        a = ad.constant(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        v = ad.constant(np.array([0.0, 1.0]))
+        np.testing.assert_allclose(ad.cosine_distance(None, a, v).values, [1.0, 0.0, 0.2])
+        b = ad.constant(np.array([[1.0, 0.0], [1.0, 0.0], [0.6, 0.8]]))
+        np.testing.assert_allclose(ad.cosine_distance(None, a, b).values, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError):
+            ad.cosine_distance(None, v, a)
+        with pytest.raises(ValueError):
+            ad.cosine_distance(None, a, ad.constant(np.zeros(3)))
+
     def test_cosine_distance_orthogonal(self):
         a = ad.constant(np.array([1.0, 0.0]))
         b = ad.constant(np.array([0.0, 1.0]))
@@ -361,6 +384,53 @@ class TestGradientOracle:
         def build(tape, ts):
             rows = ad.embedding_lookup(tape, ts["table"], [1, 4, 1, 0])
             return ad.reduce_sum(tape, ad.mul(tape, rows, rows))
+
+        assert ad.grad_check(build, params) < 1e-3
+
+    def test_l2_normalize_rows_with_zero_row(self):
+        rng = np.random.default_rng(16)
+        params = {"x": rng.normal(size=(3, 4))}
+        mask = np.ones((3, 4))
+        mask[1] = 0.0  # row 1 stays exactly zero under every perturbation
+
+        def build(tape, ts):
+            rows = ad.mul(tape, ts["x"], ad.constant(mask))
+            y = ad.l2_normalize(tape, rows)
+            w = ad.constant(np.arange(12.0).reshape(3, 4) / 7.0 - 0.8)
+            return ad.reduce_sum(tape, ad.mul(tape, y, w))
+
+        assert ad.grad_check(build, params) < 1e-3
+
+    def test_cosine_distance_rows_vs_vector(self):
+        rng = np.random.default_rng(17)
+        params = {"rows": rng.normal(size=(4, 3)), "v": rng.normal(size=3)}
+        weights = ad.constant(rng.normal(size=4))
+
+        def build(tape, ts):
+            d = ad.cosine_distance(tape, ad.l2_normalize(tape, ts["rows"]),
+                                   ad.l2_normalize(tape, ts["v"]))
+            return ad.reduce_sum(tape, ad.mul(tape, d, weights))
+
+        assert ad.grad_check(build, params) < 1e-3
+
+    def test_cosine_distance_rows_vs_rows(self):
+        rng = np.random.default_rng(18)
+        params = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(4, 3))}
+        weights = ad.constant(rng.normal(size=4))
+
+        def build(tape, ts):
+            d = ad.cosine_distance(tape, ts["a"], ts["b"])
+            return ad.reduce_sum(tape, ad.mul(tape, d, weights))
+
+        assert ad.grad_check(build, params) < 1e-3
+
+    def test_embedding_lookup_vector_repeated_indices(self):
+        rng = np.random.default_rng(19)
+        params = {"v": rng.normal(size=5)}
+
+        def build(tape, ts):
+            picked = ad.embedding_lookup(tape, ts["v"], [3, 0, 3, 3, 1])
+            return ad.reduce_sum(tape, ad.mul(tape, picked, picked))
 
         assert ad.grad_check(build, params) < 1e-3
 

@@ -123,7 +123,7 @@ class TestSknn:
 
     def test_exclude_prefix_drops_seen_items(self, train):
         model = baselines.fit_sknn(train, k=2)
-        out = baselines.sknn_recommend(model, [0, 1], 2, exclude_prefix=True)
+        out = model.recommend([0, 1], 2, exclude_prefix=True)
         assert out == [2, 3]
 
     def test_k_must_be_positive(self, train):
@@ -141,35 +141,39 @@ class TestSknn:
             assert got[pos] == pytest.approx(want[pos], abs=1e-12)
 
 
+def fit_vsknn(train, k):
+    return baselines.fit_sknn(train, k=k,
+                              position_weight=baselines.linear_position_weight)
+
+
 class TestVSknn:
     def test_recency_changes_the_ranking(self, train):
-        model = baselines.fit_sknn(train, k=2)
+        model = fit_vsknn(train, k=2)
         # ending on item 0 pulls S2 into the neighbourhood ahead of S1.
-        assert baselines.vsknn_recommend(model, [1, 0], 4) == [0, 2, 1, 3]
-        assert baselines.vsknn_recommend(model, [0, 1], 4) == [1, 2, 0, 3]
+        assert model.recommend([1, 0], 4) == [0, 2, 1, 3]
+        assert model.recommend([0, 1], 4) == [1, 2, 0, 3]
 
     def test_constant_weights_degenerate_to_sknn(self, train):
         model = baselines.fit_sknn(train, k=3)
-        rng_prefixes = all_prefixes(CORPUS)
-        for prefix in rng_prefixes:
-            plain = baselines.sknn_recommend(model, prefix, 5)
-            const = baselines.sknn_recommend(
-                model, prefix, 5,
-                position_weight=baselines.constant_position_weight)
-            assert plain == const
+        const_model = baselines.fit_sknn(
+            train, k=3, position_weight=baselines.constant_position_weight)
+        for prefix in all_prefixes(CORPUS):
+            assert model.recommend(prefix, 5) == const_model.recommend(prefix, 5)
 
     def test_repeated_item_keeps_its_latest_weight(self, train):
-        model = baselines.fit_sknn(train, k=5)
+        model = fit_vsknn(train, k=5)
         # in [0, 3, 0] item 0 sits at positions 1 and 3 -> weight 1, not 1/3.
-        got = baselines.vsknn_recommend(model, [0, 3, 0], 8)
+        got = model.recommend([0, 3, 0], 8)
         want = brute_force_vsknn(CORPUS, [0, 3, 0], k=5,
                                  pop_order=[2, 3, 0, 1, 4, 5, 6, 7], n=8)
         assert got == want
 
     def test_adapter_exposes_recommend(self, train):
-        model = baselines.fit_sknn(train, k=2)
-        rec = baselines.VSknnRecommender(model)
-        assert rec.recommend([1, 0], 4) == baselines.vsknn_recommend(model, [1, 0], 4)
+        # VSKNN is an SknnModel whose weights favour recent prefix items
+        model = fit_vsknn(train, k=2)
+        assert isinstance(model, baselines.SknnModel)
+        plain = baselines.fit_sknn(train, k=2)
+        assert model.recommend([1, 0], 4) != plain.recommend([1, 0], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +246,9 @@ class TestBruteForceAgreement:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_vsknn_all_prefixes(self, train, k):
-        model = baselines.fit_sknn(train, k=k)
+        model = fit_vsknn(train, k=k)
         for prefix in all_prefixes(CORPUS):
-            got = baselines.vsknn_recommend(model, prefix, 8)
+            got = model.recommend(prefix, 8)
             want = brute_force_vsknn(CORPUS, prefix, k,
                                      pop_order=[2, 3, 0, 1, 4, 5, 6, 7], n=8)
             assert got == want, prefix

@@ -2,11 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sml import baselines, data, evaluation, index, synth
 from sml.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_events_csv(path, sessions):
@@ -166,6 +171,23 @@ class TestTrain:
         assert code == 0
         assert "model\tSML-AvgPool-BPR" in capsys.readouterr().out
 
+    def test_sessions_longer_than_the_window_train(self, tmp_path):
+        # preprocess keeps up to 15 events a session; training windows the
+        # prefixes to the encoder's 10
+        events = tmp_path / "events.csv"
+        subprocess.run([sys.executable, str(REPO / "scripts" / "make_synthetic.py"),
+                        "--out", str(events), "--sessions", "60",
+                        "--max-length", "14"],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        out_dir = tmp_path / "out"
+        assert main(["preprocess", "--input", str(events),
+                     "--out-dir", str(out_dir)]) == 0
+        lengths = [len(items) for _, items, _ in data.read_sessions_jsonl(
+            str(out_dir / "train.jsonl"))]
+        assert max(lengths) > 11
+        assert main(train_args(out_dir, **{"--max-session-length": 10})) == 0
+
     def test_invalid_flag_combination_is_usage_error(self, tmp_path, corpus_csv):
         out_dir = run_preprocess(tmp_path, corpus_csv)
         # a conv filter wider than the session window is contradictory
@@ -209,8 +231,9 @@ class TestEvaluate:
         fit = {"POP": baselines.fit_pop, "SPOP": baselines.fit_spop,
                "MARKOV1": baselines.fit_markov,
                "SKNN": lambda ds: baselines.fit_sknn(ds, k=100),
-               "VSKNN": lambda ds: baselines.VSknnRecommender(
-                   baselines.fit_sknn(ds, k=100))}[method]
+               "VSKNN": lambda ds: baselines.fit_sknn(
+                   ds, k=100,
+                   position_weight=baselines.linear_position_weight)}[method]
         want = evaluation.evaluate(fit(train_ds), test_ds, n=4)
         assert got["method"] == method
         for key, value in want.as_dict().items():
@@ -297,6 +320,16 @@ class TestRecommend:
         capsys.readouterr()
         assert main(["recommend", "--model", str(model_path),
                      "--items", "zzz,yyy"]) == 2
+
+    def test_non_finite_model_is_data_error(self, tmp_path, corpus_csv, capsys):
+        model_path = self._trained(tmp_path, corpus_csv)
+        model, vocab = index.load_model(str(model_path))
+        model.params["item_ff.w"].values[0, 0] = float("nan")
+        index.save_model(model, vocab, str(model_path))
+        capsys.readouterr()
+        assert main(["recommend", "--model", str(model_path),
+                     "--items", "i0"]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_empty_items_is_usage_error(self, tmp_path, corpus_csv):
         model_path = self._trained(tmp_path, corpus_csv)

@@ -1,10 +1,14 @@
 """Retrieval index and the binary model container."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sml import data, encoders, index
-from conftest import make_model
+from conftest import make_model, numpy_item_vectors
 
 
 def make_vocab(size):
@@ -17,7 +21,7 @@ def make_vocab(size):
 
 class TestItemIndex:
     def test_rows_are_unit_norm(self):
-        idx = index.build_index(make_model(vocab=20, dim=8, seed=1))
+        idx = index.ItemIndex.from_model(make_model(vocab=20, dim=8, seed=1))
         norms = np.linalg.norm(idx.vectors, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-5)
 
@@ -27,9 +31,8 @@ class TestItemIndex:
         prefix = [3, 17, 5]
         query = encoders.encode_session(model, prefix).values
         sims = idx.scores(query)
-        for item in range(30):
-            assert sims[item] == pytest.approx(
-                encoders.score(model, prefix, item), abs=1e-6)
+        want = numpy_item_vectors(model, range(30)) @ query.astype(np.float64)
+        np.testing.assert_allclose(sims, want, atol=1e-6)
 
     def test_scores_stay_in_band(self):
         model = make_model(vocab=30, dim=8, seed=4)
@@ -79,9 +82,10 @@ class TestItemIndex:
 
     def test_single_item_index(self):
         model = make_model(vocab=1, dim=4)
-        idx = index.build_index(model)
+        idx = index.ItemIndex.from_model(model)
         assert idx.vectors.shape == (1, 4)
-        assert np.array_equal(idx.vectors[0], encoders.encode_item(model, 0).values)
+        assert np.array_equal(idx.vectors, encoders.encode_items(model, [0]).values)
+        np.testing.assert_allclose(idx.vectors, numpy_item_vectors(model, [0]), atol=1e-6)
 
     def test_rejects_bad_query_shape(self):
         idx = index.ItemIndex(np.eye(3, dtype=np.float32))
@@ -207,3 +211,123 @@ class TestSaveLoad:
         b = index.SmlRecommender.from_model(loaded)
         for prefix in ([0], [5, 2], [1, 1, 4]):
             assert a.recommend_scored(prefix, 12) == b.recommend_scored(prefix, 12)
+
+
+# ---------------------------------------------------------------------------
+# damaged model files: a load either fails with ModelFormatError or yields a
+# model that serves
+# ---------------------------------------------------------------------------
+
+FUZZ_VOCAB = 6
+
+
+def _fuzz_blob():
+    model = make_model(vocab=FUZZ_VOCAB, dim=4, seed=2)
+    return index.model_to_bytes(model, make_vocab(FUZZ_VOCAB))
+
+
+FUZZ_BLOB = _fuzz_blob()
+HEADER_START = 16  # magic, version, header length
+
+
+def _split_header(blob):
+    length = int.from_bytes(blob[8:HEADER_START], "little")
+    header = json.loads(blob[HEADER_START:HEADER_START + length])
+    return blob[:8], header, blob[HEADER_START + length:]
+
+
+def _join_header(head, header, rest):
+    raw = json.dumps(header).encode("utf-8")
+    return head + len(raw).to_bytes(8, "little") + raw + rest
+
+
+def _load_or_format_error(blob):
+    try:
+        model, vocab = index.model_from_bytes(blob)
+    except index.ModelFormatError:
+        return
+    rec = index.SmlRecommender.from_model(model)
+    with np.errstate(all="ignore"):  # finite but extreme weights may overflow
+        ranked = rec.recommend([0], FUZZ_VOCAB)
+    assert len({vocab.ids[i] for i in ranked}) == FUZZ_VOCAB
+
+
+def _leaf_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _leaf_paths(child, path + (i,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 40) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4)
+
+
+class TestDamagedModelFiles:
+    def test_nan_tensor_rejected(self, tmp_path):
+        model = make_model(vocab=FUZZ_VOCAB, dim=4, seed=2)
+        model.params["item_ff.w"].values[1, 2] = np.nan
+        path = str(tmp_path / "nan.bin")
+        index.save_model(model, make_vocab(FUZZ_VOCAB), path)
+        with pytest.raises(index.ModelFormatError, match="non-finite"):
+            index.load_model(path)
+
+    def test_inf_tensor_rejected(self):
+        model = make_model(vocab=FUZZ_VOCAB, dim=4, seed=2)
+        model.params["item_embedding"].values[0, 0] = -np.inf
+        with pytest.raises(index.ModelFormatError, match="non-finite"):
+            index.model_from_bytes(index.model_to_bytes(model, make_vocab(FUZZ_VOCAB)))
+
+    def test_vocabulary_size_must_match_config(self):
+        head, header, rest = _split_header(FUZZ_BLOB)
+        header["vocab"]["ids"].pop()
+        header["vocab"]["counts"].pop()
+        with pytest.raises(index.ModelFormatError, match="vocabulary"):
+            index.model_from_bytes(_join_header(head, header, rest))
+
+    def test_non_string_ids_rejected(self):
+        head, header, rest = _split_header(FUZZ_BLOB)
+        header["vocab"]["ids"][0] = 7
+        with pytest.raises(index.ModelFormatError):
+            index.model_from_bytes(_join_header(head, header, rest))
+
+    def test_unedited_header_round_trips(self):
+        head, header, rest = _split_header(FUZZ_BLOB)
+        model, vocab = index.model_from_bytes(_join_header(head, header, rest))
+        assert index.model_to_bytes(model, vocab) == FUZZ_BLOB
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, len(FUZZ_BLOB) - 1))
+    def test_truncation(self, cut):
+        with pytest.raises(index.ModelFormatError):
+            index.model_from_bytes(FUZZ_BLOB[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 8 * len(FUZZ_BLOB) - 1), min_size=1, max_size=4))
+    def test_bit_flips(self, bits):
+        blob = bytearray(FUZZ_BLOB)
+        for bit in bits:
+            blob[bit // 8] ^= 1 << (bit % 8)
+        _load_or_format_error(bytes(blob))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_header_edits(self, data_):
+        head, header, rest = _split_header(FUZZ_BLOB)
+        paths = list(_leaf_paths(header))
+        path = data_.draw(st.sampled_from(paths[1:]))
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if data_.draw(st.booleans()) and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data_.draw(JSON_VALUES)
+        _load_or_format_error(_join_header(head, header, rest))

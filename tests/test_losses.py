@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from sml import autodiff as ad
 from sml import encoders, losses
 
-from conftest import encoder_loss_builder, make_model
+from conftest import encoder_loss_builder, make_model, numpy_item_vectors
 
 
 def dist(value):
     return ad.parameter(np.float64(value))
+
+
+def dists(values):
+    return ad.parameter(np.asarray(values, dtype=np.float64))
 
 
 def loss_value(fn, *dists, **kwargs):
@@ -73,14 +77,16 @@ class TestContrastive:
         a, b = self._unit([1.0, 0.2]), self._unit([0.4, -0.9])
         expected = 1.0 - float(a.values @ b.values)
         tape = ad.Tape()
-        out = losses.contrastive_loss(tape, a, b, same_class=True)
+        out = losses.contrastive_loss(tape, ad.cosine_distance(tape, a, b),
+                                      same_class=True)
         np.testing.assert_allclose(float(out.values), expected, atol=1e-12)
 
     def test_different_class_inside_margin_is_zero_with_zero_grad(self):
         a = ad.parameter(np.array([1.0, 0.0]))
         b = ad.parameter(np.array([0.99, np.sqrt(1 - 0.99 ** 2)]))  # d ~ 0.01
         tape = ad.Tape()
-        out = losses.contrastive_loss(tape, a, b, same_class=False, margin=0.3)
+        out = losses.contrastive_loss(tape, ad.cosine_distance(tape, a, b),
+                                      same_class=False, margin=0.3)
         assert float(out.values) == 0.0
         ad.backward(tape, out)
         np.testing.assert_array_equal(a.grad, 0.0)
@@ -89,7 +95,8 @@ class TestContrastive:
     def test_different_class_beyond_margin(self):
         a, b = self._unit([1.0, 0.0]), self._unit([-1.0, 0.0])  # d = 2
         tape = ad.Tape()
-        out = losses.contrastive_loss(tape, a, b, same_class=False, margin=0.3)
+        out = losses.contrastive_loss(tape, ad.cosine_distance(tape, a, b),
+                                      same_class=False, margin=0.3)
         np.testing.assert_allclose(float(out.values), 1.7, atol=1e-12)
 
 
@@ -156,7 +163,7 @@ class TestPositionWeights:
 class TestNcas:
     def test_single_positive_no_smoothing(self):
         tape = ad.Tape()
-        out = losses.ncas_from_distances(tape, [dist(0.2), dist(0.7)],
+        out = losses.ncas_from_distances(tape, dists([0.2, 0.7]),
                                          [True, False], epsilon=0.0)
         log_p_pos = -0.2 - math.log(math.exp(-0.2) + math.exp(-0.7))
         np.testing.assert_allclose(float(out.values), -log_p_pos, atol=1e-9)
@@ -164,9 +171,9 @@ class TestNcas:
     def test_smoothed_target_two_candidates(self):
         # eps 0.3 over two candidates: target (0.85, 0.15)
         target = np.array([0.85, 0.15])
-        dists = [dist(-math.log(t)) for t in target]
         tape = ad.Tape()
-        out = losses.ncas_from_distances(tape, dists, [True, False], epsilon=0.3)
+        out = losses.ncas_from_distances(tape, dists(-np.log(target)), [True, False],
+                                         epsilon=0.3)
         assert abs(float(out.values)) < 1e-6
 
     def test_zero_when_model_matches_smoothed_target(self):
@@ -175,14 +182,13 @@ class TestNcas:
         n, n_pos = len(flags), 2
         target = np.array([(1 - eps) / n_pos + eps / n if f else eps / n
                            for f in flags])
-        dists = [dist(-math.log(t)) for t in target]
         tape = ad.Tape()
-        out = losses.ncas_from_distances(tape, dists, flags, epsilon=eps)
+        out = losses.ncas_from_distances(tape, dists(-np.log(target)), flags, epsilon=eps)
         assert abs(float(out.values)) < 1e-6
 
     def test_requires_a_positive(self):
         with pytest.raises(ValueError):
-            losses.ncas_from_distances(ad.Tape(), [dist(0.1)], [False])
+            losses.ncas_from_distances(ad.Tape(), dists([0.1]), [False])
 
     def test_rejects_duplicate_candidates(self):
         model = make_model()
@@ -191,15 +197,14 @@ class TestNcas:
 
     def test_model_first_direction_needs_smoothing(self):
         with pytest.raises(ValueError):
-            losses.ncas_from_distances(ad.Tape(), [dist(0.1), dist(0.5)],
+            losses.ncas_from_distances(ad.Tape(), dists([0.1, 0.5]),
                                        [True, False], epsilon=0.0, model_first=True)
 
     def test_model_first_zero_at_match(self):
         target = np.array([0.85, 0.15])
-        dists = [dist(-math.log(t)) for t in target]
         tape = ad.Tape()
-        out = losses.ncas_from_distances(tape, dists, [True, False], epsilon=0.3,
-                                         model_first=True)
+        out = losses.ncas_from_distances(tape, dists(-np.log(target)), [True, False],
+                                         epsilon=0.3, model_first=True)
         assert abs(float(out.values)) < 1e-6
 
     @settings(max_examples=50, deadline=None)
@@ -208,7 +213,7 @@ class TestNcas:
     def test_non_negative(self, raw, pos_count, eps):
         flags = [i < min(pos_count, len(raw)) for i in range(len(raw))]
         tape = ad.Tape()
-        out = losses.ncas_from_distances(tape, [dist(v) for v in raw], flags, eps)
+        out = losses.ncas_from_distances(tape, dists(raw), flags, eps)
         assert float(out.values) >= -1e-9
 
 
@@ -250,14 +255,6 @@ class TestSessionLoss:
             losses.LossConfig(kind="BPR", position_weighting=False))
         assert float(with_w.values) < float(without.values)
 
-    def test_triplet_objective_alias(self):
-        model = make_model(seed=8)
-        prefix, pos, neg = self._example()
-        cfg = losses.LossConfig(kind="Triplet", use_swap=True)
-        a = losses.session_triplet_objective(ad.Tape(), model, prefix, pos, neg, cfg)
-        b = losses.session_loss(ad.Tape(), model, prefix, pos, neg, cfg)
-        np.testing.assert_allclose(float(a.values), float(b.values), atol=1e-12)
-
 
 @pytest.mark.parametrize("kind,cfg_kwargs", [
     ("BPR", {}),
@@ -279,3 +276,112 @@ def test_loss_gradients_through_full_encoder(kind, cfg_kwargs):
 
     params, build = encoder_loss_builder(cfg, loss_fn)
     assert ad.grad_check(build, params) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# float64 oracle: the whole per-example objective recomputed in numpy, one
+# candidate and one position at a time, straight from the parameters
+# ---------------------------------------------------------------------------
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def numpy_session_vector(model, prefix):
+    """MaxPool or GRU session encoding in float64."""
+    cfg = model.config
+    x = model.session_table.values.astype(np.float64)[list(prefix)]
+    if cfg.encoder_kind == "MaxPool":
+        core = x.max(axis=0)
+    else:
+        g = {name: getattr(model.gru, name).values.astype(np.float64)
+             for name in ("w_update", "u_update", "b_update", "w_reset",
+                          "u_reset", "b_reset", "w_cand", "u_cand", "b_cand")}
+        core = np.zeros(cfg.embedding_dim)
+        for x_t in x:
+            z = _sigmoid(x_t @ g["w_update"] + core @ g["u_update"] + g["b_update"])
+            r = _sigmoid(x_t @ g["w_reset"] + core @ g["u_reset"] + g["b_reset"])
+            c = np.tanh(x_t @ g["w_cand"] + (r * core) @ g["u_cand"] + g["b_cand"])
+            core = (1.0 - z) * core + z * c
+    for w, b in model.session_ff:
+        core = np.tanh(core @ w.values.astype(np.float64) + b.values)
+    return core / np.linalg.norm(core)
+
+
+def numpy_session_loss(model, prefix, positives, negatives, cfg):
+    session = numpy_session_vector(model, prefix)
+
+    def item(i):
+        return numpy_item_vectors(model, [i])[0]
+
+    def distance(i):
+        return 1.0 - float(item(i) @ session)
+
+    if cfg.kind == "NCAS":
+        candidates = []
+        for i in positives + negatives:
+            if i not in candidates:
+                candidates.append(i)
+        d = np.array([distance(i) for i in candidates])
+        log_model = -d - np.log(np.sum(np.exp(-d)))
+        n, n_pos = len(candidates), len(set(positives))
+        target = np.array([(1 - cfg.epsilon) / n_pos if i in positives else 0.0
+                           for i in candidates]) + cfg.epsilon / n
+        if cfg.kld_model_first:
+            return float(np.sum(np.exp(log_model) * (log_model - np.log(target))))
+        keep = target > 0
+        return float(np.sum(target[keep] * (np.log(target[keep]) - log_model[keep])))
+
+    total = 0.0
+    for j, (p, q) in enumerate(zip(positives, negatives)):
+        dp, dn = distance(p), distance(q)
+        if cfg.kind == "Triplet":
+            if cfg.use_swap:
+                dn = min(dn, 1.0 - float(item(p) @ item(q)))
+            term = max(0.0, dp - dn + (cfg.margin if cfg.use_margin else 0.0))
+        elif cfg.kind == "BPR":
+            term = -math.log(_sigmoid(dn - dp))
+        elif cfg.kind == "TOP1":
+            term = _sigmoid(dp - dn) + _sigmoid((1.0 - dn) ** 2)
+        else:  # Contrastive
+            term = dp + max(0.0, dn - cfg.margin)
+        weight = math.sqrt(1.0 / (1.0 + j)) if cfg.position_weighting else 1.0
+        total += weight * term
+    return total
+
+
+ORACLE_CONFIGS = [
+    {"kind": "Triplet"},
+    {"kind": "Triplet", "use_swap": True},
+    {"kind": "Triplet", "use_margin": False},
+    {"kind": "Triplet", "position_weighting": False},
+    {"kind": "BPR"},
+    {"kind": "BPR", "position_weighting": False},
+    {"kind": "TOP1"},
+    {"kind": "Contrastive"},
+    {"kind": "Contrastive", "position_weighting": False},
+    {"kind": "NCAS"},
+    {"kind": "NCAS", "kld_model_first": True},
+]
+
+
+@pytest.mark.parametrize("encoder", ["MaxPool", "GRU"])
+@pytest.mark.parametrize("cfg_kwargs", ORACLE_CONFIGS,
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_session_loss_matches_float64_oracle(encoder, cfg_kwargs):
+    model = make_model(kind=encoder, vocab=20, dim=8, seed=13)
+    cfg = losses.LossConfig(**cfg_kwargs)
+    rng = np.random.default_rng(17)
+    examples = [([1, 7, 2], [4, 9, 4], [0, 3, 5])]  # a repeated positive
+    for _ in range(6):
+        prefix = [int(i) for i in rng.integers(0, 20, size=int(rng.integers(1, 7)))]
+        count = int(rng.integers(1, 6))
+        positives = [int(i) for i in rng.integers(0, 10, size=count)]
+        negatives = [int(i) for i in rng.choice(np.arange(10, 20), size=count,
+                                                replace=False)]
+        examples.append((prefix, positives, negatives))
+    for prefix, positives, negatives in examples:
+        got = float(losses.session_loss(ad.Tape(), model, prefix, positives,
+                                        negatives, cfg).values)
+        want = numpy_session_loss(model, prefix, positives, negatives, cfg)
+        assert got == pytest.approx(want, abs=1e-5), (prefix, positives, negatives)

@@ -120,6 +120,29 @@ class TestTrainLoop:
         assert [r.epoch for r in result.history] == [0, 1, 2]
         assert all(np.isfinite(r.train_loss) for r in result.history)
 
+    @pytest.mark.parametrize("sampler", [
+        sampling.SamplerConfig(samples_per_session=2, rng_seed=3),
+        sampling.SamplerConfig(strategy="sliding_window", window_size=8,
+                               samples_per_session=2, rng_seed=3),
+    ], ids=["posneg", "sliding_window"])
+    def test_prefixes_longer_than_the_encoder_window(self, monkeypatch, sampler):
+        # sessions of up to 10 items against an encoder that takes 4
+        corpus = synth.cycle_sessions(n_sessions=40, vocab_size=30,
+                                      min_length=6, max_length=10, seed=2)
+        model = make_model(vocab=30, dim=8, max_session_length=4)
+        seen = []
+        session_loss = losses.session_loss
+
+        def spy(tape, model, prefix, *args):
+            seen.append(list(prefix))
+            return session_loss(tape, model, prefix, *args)
+
+        monkeypatch.setattr(losses, "session_loss", spy)
+        result = trainer.train(corpus, model, sampler_cfg=sampler,
+                               train_cfg=quick_cfg(max_epochs=2))
+        assert all(np.isfinite(r.train_loss) for r in result.history)
+        assert max(len(p) for p in seen) == 4
+
     def test_validation_sessions_never_reach_the_sampler(self, monkeypatch):
         corpus = small_corpus()
         seen = []
