@@ -42,8 +42,7 @@ def run_arm(split, args, common: bool, seed: int) -> float:
     trainer.train(split.train, model,
                   loss_cfg=losses.LossConfig(kind=args.loss),
                   sampler_cfg=sampling.SamplerConfig(rng_seed=seed),
-                  train_cfg=trainer.TrainConfig(max_epochs=args.max_epochs,
-                                                rng_seed=seed))
+                  train_cfg=trainer.TrainConfig(max_epochs=args.max_epochs))
     report = evaluation.evaluate(SmlRecommender.from_model(model),
                                  split.test, n=args.n)
     return report.recall

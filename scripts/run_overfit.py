@@ -48,8 +48,7 @@ def main():
         split.train, model,
         loss_cfg=losses.LossConfig(kind=args.loss),
         sampler_cfg=sampling.SamplerConfig(rng_seed=args.seed),
-        train_cfg=trainer.TrainConfig(max_epochs=args.max_epochs,
-                                      rng_seed=args.seed))
+        train_cfg=trainer.TrainConfig(max_epochs=args.max_epochs))
     elapsed = time.perf_counter() - started
 
     report = evaluation.evaluate(SmlRecommender.from_model(result.model),

@@ -8,7 +8,9 @@ elementwise ops take operands of one shape; the only broadcasts are bias
 addition in :func:`dense` and rows against a vector in
 :func:`cosine_distance`.  Matrix inputs to :func:`l2_normalize` and
 :func:`cosine_distance` are taken row by row, so a batch of items and its
-loss cost a handful of ops.
+loss cost a handful of ops.  :func:`gru_sequence` records a whole
+recurrence as one node whose backward is a hand-written backpropagation
+through time.
 
 Scalars are represented as 0-d arrays.  Training code runs in float32; the
 finite-difference checker :func:`grad_check` re-evaluates graphs in float64.
@@ -189,15 +191,6 @@ def sigmoid(tape, x: Tensor) -> Tensor:
     return _result(tape, "sigmoid", (x,), y.astype(x.dtype), back)
 
 
-def tanh(tape, x: Tensor) -> Tensor:
-    y = np.tanh(x.values)
-
-    def back(g):
-        _accum(x, g * (1.0 - y * y))
-
-    return _result(tape, "tanh", (x,), y, back)
-
-
 def relu(tape, x: Tensor) -> Tensor:
     def back(g):
         _accum(x, g * (x.values > 0))
@@ -227,21 +220,6 @@ def reduce_sum(tape, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
-
-def take_row(tape, x: Tensor, index: int) -> Tensor:
-    if x.ndim != 2:
-        raise ValueError("take_row expects a 2-d input")
-    if not 0 <= index < x.shape[0]:
-        raise IndexError(f"take_row: row {index} out of range for {x.shape}")
-
-    def back(g):
-        if x.requires_grad:
-            buf = np.zeros_like(x.values)
-            buf[index] = g
-            _accum(x, buf)
-
-    return _result(tape, "take_row", (x,), x.values[index].copy(), back)
-
 
 def stack_scalars(tape, items: Sequence[Tensor]) -> Tensor:
     if not items:
@@ -529,29 +507,76 @@ def gru_sequence(tape, x: Tensor, params: GRUParams, h0: Tensor) -> Tensor:
         c_t = tanh(x_t W_c + (r_t * h_{t-1}) U_c + b_c)
         h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-    Because every step is recorded on the tape, backward() unrolls the full
-    sequence (no truncation).
+    The whole sequence is one tape node.  Forward projects every row of
+    ``x`` at once and steps only the recurrent products, keeping each
+    step's gates; backward is hand-written backpropagation through the full
+    sequence (no truncation), with one matmul per weight gradient after the
+    loop.  The update and reset weights are joined at call time.
     """
     if x.ndim != 2:
         raise ValueError("gru_sequence expects a 2-d input")
     if x.shape[0] == 0:
         raise ValueError("gru_sequence: empty sequence")
-    if h0.ndim != 1 or h0.shape[0] != params.u_update.shape[0]:
+    hidden = params.u_update.shape[0]
+    if h0.ndim != 1 or h0.shape[0] != hidden:
         raise ValueError("gru_sequence: h0 shape does not match hidden size")
+    if x.shape[1] != params.w_update.shape[0]:
+        raise ValueError(f"gru_sequence: input width {x.shape[1]} does not match "
+                         f"w_update {params.w_update.shape}")
 
-    h = h0
-    ones = constant(np.ones_like(h0.values))
-    for step in range(x.shape[0]):
-        x_t = take_row(tape, x, step)
-        z = sigmoid(tape, add(tape, add(tape, dense(tape, x_t, params.w_update),
-                                        dense(tape, h, params.u_update)), params.b_update))
-        r = sigmoid(tape, add(tape, add(tape, dense(tape, x_t, params.w_reset),
-                                        dense(tape, h, params.u_reset)), params.b_reset))
-        cand = tanh(tape, add(tape, add(tape, dense(tape, x_t, params.w_cand),
-                                        dense(tape, mul(tape, r, h), params.u_cand)),
-                              params.b_cand))
-        h = add(tape, mul(tape, sub(tape, ones, z), h), mul(tape, z, cand))
-    return h
+    p = params
+    xv = x.values
+    w_zr = np.concatenate([p.w_update.values, p.w_reset.values], axis=1)
+    u_zr = np.concatenate([p.u_update.values, p.u_reset.values], axis=1)
+    w_c, u_c = p.w_cand.values, p.u_cand.values
+    in_zr = xv @ w_zr + np.concatenate([p.b_update.values, p.b_reset.values])
+    in_c = xv @ w_c + p.b_cand.values
+
+    steps = xv.shape[0]
+    dtype = np.result_type(in_zr, in_c, h0.values, u_zr, u_c)
+    hs = np.empty((steps + 1, hidden), dtype=dtype)  # hs[t] is h_{t-1}
+    hs[0] = h0.values
+    zr = np.empty((steps, 2 * hidden), dtype=dtype)
+    rh = np.empty((steps, hidden), dtype=dtype)
+    c = np.empty((steps, hidden), dtype=dtype)
+    for t in range(steps):
+        h = hs[t]
+        zr[t] = 0.5 * (1.0 + np.tanh(0.5 * (in_zr[t] + h @ u_zr)))
+        z = zr[t, :hidden]
+        rh[t] = zr[t, hidden:] * h
+        c[t] = np.tanh(in_c[t] + rh[t] @ u_c)
+        hs[t + 1] = (1.0 - z) * h + z * c[t]
+
+    def back(g):
+        d_zr = np.empty_like(zr)
+        d_c = np.empty_like(c)
+        zr_slope = zr * (1.0 - zr)
+        c_slope = 1.0 - c * c
+        dh = g
+        for t in range(steps - 1, -1, -1):
+            h = hs[t]
+            z = zr[t, :hidden]
+            d_c[t] = dh * z * c_slope[t]
+            d_rh = d_c[t] @ u_c.T
+            d_zr[t, :hidden] = dh * (c[t] - h) * zr_slope[t, :hidden]
+            d_zr[t, hidden:] = d_rh * h * zr_slope[t, hidden:]
+            dh = dh * (1.0 - z) + d_rh * zr[t, hidden:] + d_zr[t] @ u_zr.T
+        _accum(h0, dh)
+        if x.requires_grad:
+            _accum(x, d_zr @ w_zr.T + d_c @ w_c.T)
+        g_w, g_u, g_b = xv.T @ d_zr, hs[:-1].T @ d_zr, d_zr.sum(axis=0)
+        _accum(p.w_update, g_w[:, :hidden])
+        _accum(p.w_reset, g_w[:, hidden:])
+        _accum(p.u_update, g_u[:, :hidden])
+        _accum(p.u_reset, g_u[:, hidden:])
+        _accum(p.b_update, g_b[:hidden])
+        _accum(p.b_reset, g_b[hidden:])
+        _accum(p.w_cand, xv.T @ d_c)
+        _accum(p.u_cand, rh.T @ d_c)
+        _accum(p.b_cand, d_c.sum(axis=0))
+
+    inputs = (x, h0, *p.named().values())
+    return _result(tape, "gru_sequence", inputs, hs[steps].copy(), back)
 
 
 # ---------------------------------------------------------------------------

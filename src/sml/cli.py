@@ -253,7 +253,6 @@ def cmd_train(args) -> int:
         validation_fraction=args.validation_fraction,
         max_lr_reductions=args.max_lr_reductions,
         eval_n=args.eval_n,
-        rng_seed=args.seed,
     )
 
     model = build_model(model_cfg, seed=args.seed)

@@ -38,6 +38,9 @@ class LossConfig:
             raise ValueError("margin must be non-negative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        if self.kind == "NCAS" and self.kld_model_first and self.epsilon == 0.0:
+            raise ValueError("NCAS with kld_model_first needs epsilon > 0: "
+                             "KLD(model || target) diverges for a zero-mass target")
 
 
 def _const_like(reference: ad.Tensor, value: float) -> ad.Tensor:

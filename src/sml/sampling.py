@@ -176,9 +176,13 @@ def build_epoch(train: Dataset, cfg: SamplerConfig, epoch: int,
                 positives = positives + knn_augment_positives(
                     prefix, positives, model, cfg.knn_k,
                     cfg.samples_per_session, item_matrix)
-            excluded = set(positives)
-            if cfg.exclude_prefix_negatives:
-                excluded |= set(prefix)
+            banned = set(prefix) if cfg.exclude_prefix_negatives else set()
+            excluded = banned | set(positives)
+            # a vocabulary too small to give every positive its own negative
+            # keeps the positives nearest the cut
+            while len(positives) > max(1, vocab_size - len(excluded)):
+                positives = positives[:-1]
+                excluded = banned | set(positives)
             negatives = sample_negatives(excluded, vocab_size, len(positives), rng)
             examples.append(TrainingExample(prefix, positives, negatives))
 

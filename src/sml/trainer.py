@@ -39,7 +39,6 @@ class TrainConfig:
     validation_fraction: float = 0.05
     max_lr_reductions: int = 3
     eval_n: int = 20
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:

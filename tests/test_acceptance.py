@@ -460,7 +460,7 @@ def synthetic_run():
     result = trainer.train(split.train, model,
                            loss_cfg=losses.LossConfig(kind="Triplet"),
                            sampler_cfg=sampling.SamplerConfig(rng_seed=0),
-                           train_cfg=trainer.TrainConfig(rng_seed=0))
+                           train_cfg=trainer.TrainConfig())
     elapsed = time.perf_counter() - started
     sml_report = evaluation.evaluate(SmlRecommender.from_model(result.model),
                                      split.test, n=20)
@@ -511,7 +511,7 @@ def test_criterion_08_common_embedding_direction():
                 split.train, model,
                 loss_cfg=losses.LossConfig(kind="Triplet"),
                 sampler_cfg=sampling.SamplerConfig(rng_seed=seed),
-                train_cfg=trainer.TrainConfig(max_epochs=30, rng_seed=seed))
+                train_cfg=trainer.TrainConfig(max_epochs=30))
             report = evaluation.evaluate(
                 SmlRecommender.from_model(result.model), split.test, n=20)
             recalls.append(report.recall)
@@ -546,7 +546,7 @@ def _train_once(seed):
                   loss_cfg=losses.LossConfig(),
                   sampler_cfg=sampling.SamplerConfig(samples_per_session=4,
                                                      rng_seed=seed),
-                  train_cfg=trainer.TrainConfig(max_epochs=3, rng_seed=seed))
+                  train_cfg=trainer.TrainConfig(max_epochs=3))
     blob = index.model_to_bytes(model, split.train.vocab)
     report = evaluation.evaluate(SmlRecommender.from_model(model),
                                  split.test, n=10)

@@ -478,6 +478,130 @@ class TestGradientOracle:
         assert ad.grad_check(build, params) < 1e-3
 
 
+GRU_GATES = tuple(f"{kind}_{gate}" for gate in ("update", "reset", "cand")
+                  for kind in ("w", "u", "b"))
+
+
+def _gru_arrays(rng, steps, d_in, hidden):
+    arrays = {"x": rng.normal(size=(steps, d_in)), "h0": rng.normal(size=hidden)}
+    for gate in ("update", "reset", "cand"):
+        arrays[f"w_{gate}"] = rng.normal(size=(d_in, hidden)) * 0.5
+        arrays[f"u_{gate}"] = rng.normal(size=(hidden, hidden)) * 0.5
+        arrays[f"b_{gate}"] = rng.normal(size=hidden) * 0.1
+    return arrays
+
+
+def _gru_params(ts):
+    return ad.GRUParams(**{name: ts[name] for name in GRU_GATES})
+
+
+def numpy_gru(arrays):
+    """The per-step recurrence in float64, one input row at a time."""
+    a = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h = a["h0"]
+    for x_t in a["x"]:
+        z = sigmoid(x_t @ a["w_update"] + h @ a["u_update"] + a["b_update"])
+        r = sigmoid(x_t @ a["w_reset"] + h @ a["u_reset"] + a["b_reset"])
+        c = np.tanh(x_t @ a["w_cand"] + (r * h) @ a["u_cand"] + a["b_cand"])
+        h = (1.0 - z) * h + z * c
+    return h
+
+
+def per_step_gru(tape, x, params, h0):
+    """The GRU composed from primitive tape ops, a few nodes per step.
+
+    Row t of ``x`` is taken as a one-hot vector times ``x``, and the
+    candidate's tanh as a ``dense`` layer with an identity weight, so every
+    gradient flows through ops the library keeps.
+    """
+    steps = x.shape[0]
+    h = h0
+    ones = ad.constant(np.ones_like(h0.values))
+    identity = ad.constant(np.eye(h0.shape[0]))
+    for t in range(steps):
+        x_t = ad.dense(tape, ad.constant(np.eye(steps)[t]), x)
+        z = ad.sigmoid(tape, ad.add(tape, ad.add(
+            tape, ad.dense(tape, x_t, params.w_update),
+            ad.dense(tape, h, params.u_update)), params.b_update))
+        r = ad.sigmoid(tape, ad.add(tape, ad.add(
+            tape, ad.dense(tape, x_t, params.w_reset),
+            ad.dense(tape, h, params.u_reset)), params.b_reset))
+        cand = ad.dense(tape, ad.add(
+            tape, ad.dense(tape, x_t, params.w_cand),
+            ad.dense(tape, ad.mul(tape, r, h), params.u_cand)),
+            identity, params.b_cand, activation="tanh")
+        h = ad.add(tape, ad.mul(tape, ad.sub(tape, ones, z), h),
+                   ad.mul(tape, z, cand))
+    return h
+
+
+class TestFusedGru:
+    """``gru_sequence`` is one tape node; the per-step recurrence is its oracle."""
+
+    @pytest.mark.parametrize("steps", range(1, 16))
+    def test_float32_matches_float64_per_step_reference(self, steps):
+        arrays = _gru_arrays(np.random.default_rng([21, steps]), steps, 6, 5)
+        ts = {k: ad.constant(v.astype(np.float32)) for k, v in arrays.items()}
+        out = ad.gru_sequence(None, ts["x"], _gru_params(ts), ts["h0"])
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out.values, numpy_gru(arrays), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("steps", [1, 4, 15])
+    def test_untaped_and_taped_values_are_identical(self, steps):
+        arrays = _gru_arrays(np.random.default_rng([22, steps]), steps, 8, 8)
+        frozen = {k: ad.constant(v.astype(np.float32)) for k, v in arrays.items()}
+        live = {k: ad.parameter(v.astype(np.float32)) for k, v in arrays.items()}
+        tape = ad.Tape()
+        served = ad.gru_sequence(None, frozen["x"], _gru_params(frozen), frozen["h0"])
+        trained = ad.gru_sequence(tape, live["x"], _gru_params(live), live["h0"])
+        np.testing.assert_array_equal(served.values, trained.values)
+        assert [node.op for node in tape.nodes] == ["gru_sequence"]
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_grad_check_every_input(self, steps):
+        params = _gru_arrays(np.random.default_rng([23, steps]), steps, 3, 4)
+        weights = np.random.default_rng([24, steps]).normal(size=4)
+
+        def build(tape, ts):
+            out = ad.gru_sequence(tape, ts["x"], _gru_params(ts), ts["h0"])
+            return ad.reduce_sum(tape, ad.mul(tape, out, ad.constant(weights)))
+
+        assert ad.grad_check(build, params) < 1e-3
+
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_gradients_match_per_step_composition(self, steps):
+        arrays = _gru_arrays(np.random.default_rng([25, steps]), steps, 4, 4)
+        grads = []
+        for gru in (ad.gru_sequence, per_step_gru):
+            ts = {k: ad.parameter(v.copy()) for k, v in arrays.items()}
+            tape = ad.Tape()
+            out = gru(tape, ts["x"], _gru_params(ts), ts["h0"])
+            ad.backward(tape, ad.reduce_sum(tape, ad.mul(tape, out, out)))
+            grads.append({k: t.grad for k, t in ts.items()})
+        fused, composed = grads
+        for name in arrays:
+            np.testing.assert_allclose(fused[name], composed[name],
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_input_width_must_match_w_update(self):
+        arrays = _gru_arrays(np.random.default_rng(26), 3, 4, 4)
+        ts = {k: ad.constant(v) for k, v in arrays.items()}
+        with pytest.raises(ValueError, match="w_update"):
+            ad.gru_sequence(None, ad.constant(np.zeros((3, 5))), _gru_params(ts), ts["h0"])
+
+    def test_empty_sequence_and_bad_h0_rejected(self):
+        arrays = _gru_arrays(np.random.default_rng(27), 2, 4, 4)
+        ts = {k: ad.constant(v) for k, v in arrays.items()}
+        with pytest.raises(ValueError, match="empty"):
+            ad.gru_sequence(None, ad.constant(np.zeros((0, 4))), _gru_params(ts), ts["h0"])
+        with pytest.raises(ValueError, match="h0"):
+            ad.gru_sequence(None, ts["x"], _gru_params(ts), ad.constant(np.zeros(3)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-3, 3), min_size=2, max_size=6))
 def test_stack_scalars_roundtrip(values):

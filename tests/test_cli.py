@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from sml import baselines, data, evaluation, index, synth
+from sml import autodiff as ad
+from sml import baselines, data, evaluation, index, synth, trainer
 from sml.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -194,6 +195,19 @@ class TestTrain:
         code = main(train_args(out_dir, **{"--encoder": "TextCNN",
                                            "--conv-filter-sizes": "1,20"}))
         assert code == 1
+
+    def test_unsmoothed_model_first_ncas_fails_before_training(
+            self, tmp_path, corpus_csv, monkeypatch, capsys):
+        out_dir = run_preprocess(tmp_path, corpus_csv)
+        calls = []
+        monkeypatch.setattr(ad, "adam_step", lambda *a, **k: calls.append("adam_step"))
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: calls.append("train"))
+        code = main(train_args(out_dir, **{"--loss": "NCAS", "--kld-model-first": True,
+                                           "--epsilon": 0}))
+        assert code == 1
+        assert "epsilon > 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (out_dir / "model.bin").exists()
 
 
 class TestEvaluate:

@@ -200,6 +200,13 @@ class TestNcas:
             losses.ncas_from_distances(ad.Tape(), dists([0.1, 0.5]),
                                        [True, False], epsilon=0.0, model_first=True)
 
+    def test_config_rejects_model_first_without_smoothing(self):
+        with pytest.raises(ValueError, match="epsilon > 0"):
+            losses.LossConfig(kind="NCAS", kld_model_first=True, epsilon=0.0)
+        # the target-first direction and the other kinds need no smoothing
+        losses.LossConfig(kind="NCAS", epsilon=0.0)
+        losses.LossConfig(kind="Triplet", kld_model_first=True, epsilon=0.0)
+
     def test_model_first_zero_at_match(self):
         target = np.array([0.85, 0.15])
         tape = ad.Tape()
@@ -254,6 +261,19 @@ class TestSessionLoss:
             ad.Tape(), model, prefix, pos, neg,
             losses.LossConfig(kind="BPR", position_weighting=False))
         assert float(with_w.values) < float(without.values)
+
+
+@pytest.mark.parametrize("kind", ["Triplet", "NCAS"])
+def test_gru_tape_size_does_not_grow_with_prefix_length(kind):
+    """The recurrence is one tape node, however long the prefix."""
+    model = make_model(kind="GRU", vocab=20, dim=8, seed=4, max_session_length=10)
+    cfg = losses.LossConfig(kind=kind)
+    counts = set()
+    for length in range(1, model.config.max_session_length + 1):
+        tape = ad.Tape()
+        losses.session_loss(tape, model, list(range(length)), [11, 12], [13, 14], cfg)
+        counts.add(len(tape.nodes))
+    assert len(counts) == 1, sorted(counts)
 
 
 @pytest.mark.parametrize("kind,cfg_kwargs", [

@@ -207,6 +207,25 @@ class TestBuildEpoch:
             for ex in sampling.build_epoch(train, cfg, epoch=epoch):
                 assert not set(ex.negatives) & set(ex.prefix)
 
+    @pytest.mark.parametrize("exclude_prefix", [False, True])
+    @pytest.mark.parametrize("strategy", sampling.STRATEGIES)
+    def test_small_vocabulary_keeps_nearest_positives(self, strategy, exclude_prefix):
+        # 8 distinct items a session, 12 in the vocabulary: 7 positives
+        # cannot each get their own negative
+        train = session_dataset([[(k + j) % 12 for j in range(8)] for k in range(12)])
+        cfg = sampling.SamplerConfig(strategy=strategy, samples_per_session=8,
+                                     window_size=8, rng_seed=0,
+                                     exclude_prefix_negatives=exclude_prefix)
+        for epoch in range(5):
+            for ex in sampling.build_epoch(train, cfg, epoch=epoch):
+                start = ex.prefix[-1] + 1
+                assert ex.positives == [(start + j) % 12
+                                        for j in range(len(ex.positives))]
+                assert len(set(ex.negatives)) == len(ex.negatives)
+                assert not set(ex.negatives) & set(ex.positives)
+                if exclude_prefix:
+                    assert not set(ex.negatives) & set(ex.prefix)
+
     def test_knn_augment_tops_up(self):
         train = session_dataset([[0, 1, 2], [1, 3, 0], [2, 0, 3], [3, 1, 2]])
         model = make_model(vocab=4, dim=4)

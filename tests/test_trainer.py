@@ -19,7 +19,7 @@ def small_corpus():
 
 def quick_cfg(**overrides):
     defaults = dict(batch_size=4, max_epochs=3, validation_fraction=0.2,
-                    eval_n=5, rng_seed=1)
+                    eval_n=5)
     defaults.update(overrides)
     return trainer.TrainConfig(**defaults)
 
@@ -225,8 +225,7 @@ class TestLossMakesProgress:
             train_cfg=trainer.TrainConfig(batch_size=16, max_epochs=5,
                                           validation_fraction=0.05,
                                           lr_decay_factor=1.0,
-                                          max_lr_reductions=10,
-                                          rng_seed=0))
+                                          max_lr_reductions=10))
         seq = [r.train_loss for r in result.history[:5]]
         assert len(seq) == 5
         assert all(b < a for a, b in zip(seq, seq[1:])), seq
