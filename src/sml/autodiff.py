@@ -617,13 +617,6 @@ class ParamSet:
     def __len__(self) -> int:
         return len(self._params)
 
-    def zero_grads(self) -> None:
-        for p in self._params.values():
-            p.grad = None
-
-    def count_values(self) -> int:
-        return sum(p.values.size for p in self._params.values())
-
 
 def adam_step(params: ParamSet, lr: float = 0.001, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:

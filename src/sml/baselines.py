@@ -131,7 +131,7 @@ class SknnModel:
     pop: PopModel
     position_weight: Callable[[int, int], float] = constant_position_weight
 
-    def recommend(self, prefix, n: int, exclude_prefix: bool = False) -> list[int]:
+    def recommend(self, prefix, n: int) -> list[int]:
         """Score items by summed similarity of the neighbour sessions they occur in."""
         if n < 1:
             raise ValueError("n must be positive")
@@ -144,9 +144,6 @@ class SknnModel:
         for sim, pos in _neighbours(self, weights):
             for item in self.item_sets[pos]:
                 scores[item] += sim
-        if exclude_prefix:
-            for item in set(prefix):
-                scores.pop(item, None)
         ranked = sorted(scores, key=lambda i: (-scores[i], i))
         return _fill_with_popularity(ranked, n, self.pop.order)
 

@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 usage problems, 2 unusable data or artifacts,
 3 numeric divergence during training.  Every flag default is visible in
-``--help``; the default seed can be set process-wide with ``SML_SEED``.
+``--help``.  The ``train`` defaults are those of the config dataclasses its
+flags fill; its seed, the only one any subcommand reads, defaults to
+``SML_SEED``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -22,6 +25,11 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 
 BASELINE_METHODS = ("POP", "SPOP", "MARKOV1", "SKNN", "VSKNN")
+
+TRAIN_CONFIGS = (ModelConfig, losses.LossConfig, sampling.SamplerConfig,
+                 trainer.TrainConfig)
+# config fields no flag sets: the data gives vocab_size, --seed rng_seed
+UNFLAGGED = ("vocab_size", "rng_seed")
 
 
 def _default_seed() -> int:
@@ -41,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sml",
         description="Session-based recommendations in a shared metric space.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
     fmt = argparse.ArgumentDefaultsHelpFormatter
     Bool = argparse.BooleanOptionalAction
 
@@ -71,60 +78,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True, help="model file to write")
     p.add_argument("--history-out", default=None,
                    help="training history CSV (default: <model-out>.history.csv)")
-    p.add_argument("--encoder", default="MaxPool", choices=ENCODER_KINDS,
+    # every flag below sets the config field named by its dest; the
+    # defaults come from the config classes (set_defaults at the end)
+    p.add_argument("--encoder", dest="encoder_kind", choices=ENCODER_KINDS,
                    help="session encoder")
-    p.add_argument("--loss", default="Triplet", choices=losses.LOSS_KINDS,
+    p.add_argument("--loss", dest="kind", choices=losses.LOSS_KINDS,
                    help="training loss")
-    p.add_argument("--dim", type=int, default=400, help="embedding width")
-    p.add_argument("--common-embedding", action=Bool, default=True,
+    p.add_argument("--dim", dest="embedding_dim", metavar="DIM", type=int,
+                   help="embedding width")
+    p.add_argument("--common-embedding", action=Bool,
                    help="share the item table with the session encoder")
-    p.add_argument("--normalize-outputs", action=Bool, default=True,
+    p.add_argument("--normalize-outputs", action=Bool,
                    help="project embeddings onto the unit sphere")
-    p.add_argument("--max-session-length", type=int, default=15,
+    p.add_argument("--max-session-length", type=int,
                    help="longest prefix the encoder accepts")
-    p.add_argument("--conv-filter-sizes", type=_filter_sizes, default=(1, 3, 5),
+    p.add_argument("--conv-filter-sizes", type=_filter_sizes,
                    help="TextCNN window sizes, comma-separated")
-    p.add_argument("--session-ff-depth", type=int, default=1,
+    p.add_argument("--session-ff-depth", type=int,
                    help="dense layers after the sequence encoder")
-    p.add_argument("--margin", type=float, default=0.3,
+    p.add_argument("--margin", type=float,
                    help="margin for triplet/contrastive losses")
-    p.add_argument("--use-margin", action=Bool, default=True,
-                   help="apply the margin inside the triplet hinge")
-    p.add_argument("--use-swap", action=Bool, default=False,
+    p.add_argument("--use-swap", action=Bool,
                    help="use the positive-negative distance if it is harder")
-    p.add_argument("--position-weighting", action=Bool, default=True,
+    p.add_argument("--position-weighting", action=Bool,
                    help="down-weight continuation items far from the prefix")
-    p.add_argument("--epsilon", type=float, default=0.3,
+    p.add_argument("--epsilon", type=float,
                    help="label smoothing for the NCAS target")
-    p.add_argument("--kld-model-first", action=Bool, default=False,
+    p.add_argument("--kld-model-first", action=Bool,
                    help="swap the KL divergence direction in NCAS")
-    p.add_argument("--strategy", default="posneg",
-                   choices=sampling.STRATEGIES, help="epoch sampler")
-    p.add_argument("--samples-per-session", type=int, default=8,
+    p.add_argument("--strategy", choices=sampling.STRATEGIES,
+                   help="epoch sampler")
+    p.add_argument("--samples-per-session", type=int,
                    help="positive/negative pairs per example")
-    p.add_argument("--window-size", type=int, default=4,
+    p.add_argument("--window-size", type=int,
                    help="prefix cap for the sliding-window sampler")
-    p.add_argument("--exclude-prefix-negatives", action=Bool, default=False,
+    p.add_argument("--exclude-prefix-negatives", action=Bool,
                    help="never sample prefix items as negatives")
-    p.add_argument("--knn-augment", action=Bool, default=False,
+    p.add_argument("--knn-augment", action=Bool,
                    help="top up scarce positives with near neighbours")
-    p.add_argument("--knn-k", type=int, default=10,
+    p.add_argument("--knn-k", type=int,
                    help="neighbourhood size for positive augmentation")
-    p.add_argument("--batch-size", type=int, default=32, help="sessions per step")
-    p.add_argument("--max-epochs", type=int, default=150, help="epoch budget")
-    p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate")
-    p.add_argument("--lr-decay-factor", type=float, default=0.1,
+    p.add_argument("--batch-size", type=int, help="sessions per step")
+    p.add_argument("--max-epochs", type=int, help="epoch budget")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   help="Adam learning rate")
+    p.add_argument("--lr-decay-factor", type=float,
                    help="multiplier applied on stalled validation")
-    p.add_argument("--improvement-threshold", type=float, default=0.005,
+    p.add_argument("--improvement-threshold", type=float,
                    help="relative validation gain that counts as progress")
-    p.add_argument("--validation-fraction", type=float, default=0.05,
+    p.add_argument("--validation-fraction", type=float,
                    help="chronological share of train held out for validation")
-    p.add_argument("--max-lr-reductions", type=int, default=3,
+    p.add_argument("--max-lr-reductions", type=int,
                    help="stop after this many learning-rate decays")
-    p.add_argument("--eval-n", type=int, default=20,
+    p.add_argument("--eval-n", type=int,
                    help="list length for the validation recall")
-    p.add_argument("--seed", type=int, default=seed,
+    p.add_argument("--seed", type=int, default=_default_seed(),
                    help="RNG seed (env SML_SEED)")
+    p.set_defaults(**{f.name: f.default
+                      for cls in TRAIN_CONFIGS for f in dataclasses.fields(cls)
+                      if f.name not in UNFLAGGED})
 
     p = sub.add_parser("evaluate", formatter_class=fmt,
                        help="score a trained model or baseline on test sessions")
@@ -139,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sknn-k", type=int, default=100,
                    help="neighbourhood size for SKNN/VSKNN")
     p.add_argument("--report-out", default=None, help="also write JSON report here")
-    p.add_argument("--seed", type=int, default=seed,
-                   help="RNG seed (env SML_SEED)")
 
     p = sub.add_parser("recommend", formatter_class=fmt,
                        help="rank items for one session prefix")
@@ -148,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True,
                    help="comma-separated item ids, oldest first")
     p.add_argument("--n", type=int, default=10, help="list length")
-    p.add_argument("--seed", type=int, default=seed,
-                   help="RNG seed (env SML_SEED)")
     return parser
 
 
@@ -214,46 +222,18 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def train_configs(args, vocab_size: int) -> tuple:
+    """The model, loss, sampler and train configs, each built from the
+    parsed flags named after its fields."""
+    values = {**vars(args), "vocab_size": vocab_size, "rng_seed": args.seed}
+    return tuple(cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
+                 for cls in TRAIN_CONFIGS)
+
+
 def cmd_train(args) -> int:
     train_data = data.dataset_from_sessions(data.read_sessions_jsonl(args.train))
-    model_cfg = ModelConfig(
-        vocab_size=len(train_data.vocab),
-        embedding_dim=args.dim,
-        encoder_kind=args.encoder,
-        common_embedding=args.common_embedding,
-        normalize_outputs=args.normalize_outputs,
-        max_session_length=args.max_session_length,
-        conv_filter_sizes=args.conv_filter_sizes,
-        session_ff_depth=args.session_ff_depth,
-    )
-    loss_cfg = losses.LossConfig(
-        kind=args.loss,
-        margin=args.margin,
-        use_margin=args.use_margin,
-        use_swap=args.use_swap,
-        position_weighting=args.position_weighting,
-        epsilon=args.epsilon,
-        kld_model_first=args.kld_model_first,
-    )
-    sampler_cfg = sampling.SamplerConfig(
-        strategy=args.strategy,
-        samples_per_session=args.samples_per_session,
-        window_size=args.window_size,
-        exclude_prefix_negatives=args.exclude_prefix_negatives,
-        knn_augment=args.knn_augment,
-        knn_k=args.knn_k,
-        rng_seed=args.seed,
-    )
-    train_cfg = trainer.TrainConfig(
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        learning_rate=args.lr,
-        lr_decay_factor=args.lr_decay_factor,
-        improvement_threshold=args.improvement_threshold,
-        validation_fraction=args.validation_fraction,
-        max_lr_reductions=args.max_lr_reductions,
-        eval_n=args.eval_n,
-    )
+    model_cfg, loss_cfg, sampler_cfg, train_cfg = train_configs(
+        args, len(train_data.vocab))
 
     model = build_model(model_cfg, seed=args.seed)
     result = trainer.train(train_data, model, loss_cfg, sampler_cfg, train_cfg)
@@ -261,13 +241,13 @@ def cmd_train(args) -> int:
     index.save_model(result.model, train_data.vocab, args.model_out)
     history_path = args.history_out or args.model_out + ".history.csv"
     with open(history_path, "w", encoding="utf-8") as handle:
-        handle.write(trainer.history_csv(result.history))
+        handle.write(trainer.history_csv(result.history, train_cfg.eval_n))
 
-    name = f"SML-{args.encoder}-{args.loss}"
+    name = f"SML-{model_cfg.encoder_kind}-{loss_cfg.kind}"
     print(f"model\t{name}")
     print(f"epochs\t{len(result.history)}")
     print(f"best_epoch\t{result.best_epoch}")
-    print(f"best_val_rec{args.eval_n}\t{result.best_val!r}")
+    print(f"best_val_rec{train_cfg.eval_n}\t{result.best_val!r}")
     print(f"stop_reason\t{result.stop_reason}")
     print(f"model_file\t{args.model_out}")
     print(f"history_file\t{history_path}")

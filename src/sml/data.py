@@ -233,15 +233,6 @@ def preprocess(events: list[RawEvent], min_item_count: int = 5,
     return Dataset(out, vocab)
 
 
-def to_events(dataset: Dataset) -> list[RawEvent]:
-    """Flatten a dataset back into an event stream (session order kept)."""
-    events = []
-    for s in dataset.sessions:
-        for idx, ts in zip(s.items, s.timestamps):
-            events.append(RawEvent(s.session_id, ts, dataset.vocab.ids[idx]))
-    return events
-
-
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------

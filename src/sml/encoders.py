@@ -114,6 +114,11 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def model_from_tensors(config: ModelConfig, tensors: dict[str, ad.Tensor]) -> Model:
     """Wire named tensors into a Model, validating names and shapes."""
+    # two tensors per feed-forward layer: a corrupt model file's depth must
+    # fail here, before parameter_shapes lists that many names
+    if 2 * config.session_ff_depth > len(tensors):
+        raise ValueError(f"session_ff_depth {config.session_ff_depth} needs more "
+                         f"than the {len(tensors)} tensors given")
     shapes = parameter_shapes(config)
     missing = sorted(set(shapes) - set(tensors))
     extra = sorted(set(tensors) - set(shapes))

@@ -69,22 +69,13 @@ class ItemIndex:
                 f"dimension {self.vectors.shape[1]}")
         return self.vectors @ query
 
-    def topn(self, query: np.ndarray, n: int,
-             exclude: set | None = None) -> list[tuple[int, float]]:
+    def topn(self, query: np.ndarray, n: int) -> list[tuple[int, float]]:
         """The n best (item, score) pairs, ties broken by ascending index."""
         if n < 1:
             raise ValueError("n must be positive")
         scores = self.scores(query)
         order = np.argsort(-scores, kind="stable")  # stable => index-ascending ties
-        out = []
-        for i in order:
-            item = int(i)
-            if exclude is not None and item in exclude:
-                continue
-            out.append((item, float(scores[item])))
-            if len(out) == n:
-                break
-        return out
+        return [(int(i), float(scores[i])) for i in order[:n]]
 
 
 @dataclass

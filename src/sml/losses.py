@@ -24,8 +24,7 @@ LOSS_KINDS = ("Triplet", "BPR", "TOP1", "Contrastive", "NCAS")
 @dataclass(frozen=True)
 class LossConfig:
     kind: str = "Triplet"
-    margin: float = 0.3
-    use_margin: bool = True
+    margin: float = 0.3            # 0 gives the no-margin triplet hinge
     use_swap: bool = False
     position_weighting: bool = True
     epsilon: float = 0.3          # NCAS target smoothing
@@ -34,8 +33,8 @@ class LossConfig:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError("margin must be finite and non-negative")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.kind == "NCAS" and self.kld_model_first and self.epsilon == 0.0:
@@ -74,7 +73,7 @@ def contrastive_loss(tape, dist: ad.Tensor, same_class: bool,
 
 def triplet_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor,
                  dist_pos_neg: ad.Tensor | None = None, margin: float = 0.3,
-                 use_margin: bool = True, use_swap: bool = False) -> ad.Tensor:
+                 use_swap: bool = False) -> ad.Tensor:
     """max(0, dist_pos - dist_neg' + margin).
 
     With ``use_swap`` the effective negative distance is
@@ -87,7 +86,7 @@ def triplet_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor,
             raise ValueError("use_swap requires dist_pos_neg")
         effective = ad.minimum(tape, dist_neg, dist_pos_neg)
     gap = ad.sub(tape, dist_pos, effective)
-    if use_margin and margin != 0.0:
+    if margin != 0.0:
         gap = ad.add(tape, gap, _const_like(gap, margin))
     return ad.relu(tape, gap)
 
@@ -191,7 +190,7 @@ def session_loss(tape, model: encoders.Model, prefix, positives: list[int],
                 tape, ad.embedding_lookup(tape, item_vecs, pos_slots),
                 ad.embedding_lookup(tape, item_vecs, neg_slots))
         terms = triplet_loss(tape, dist_pos, dist_neg, dist_pos_neg,
-                             cfg.margin, cfg.use_margin, cfg.use_swap)
+                             cfg.margin, cfg.use_swap)
     elif cfg.kind == "BPR":
         terms = bpr_loss(tape, dist_pos, dist_neg)
     else:

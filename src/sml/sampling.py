@@ -38,6 +38,8 @@ class SamplerConfig:
             raise ValueError("window_size must be positive")
         if self.knn_k < 1:
             raise ValueError("knn_k must be positive")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Each epoch samples fresh examples, walks them in batches of
 ``batch_size`` (one tape per batch, loss averaged over the batch), and
-applies one Adam step per batch.  After every epoch the recall@20 of the
-current model on a held-out chronological tail of the training sessions
-decides the schedule: an epoch that fails to beat the best score by at
+applies one Adam step per batch.  After every epoch the recall@eval_n of
+the current model on a held-out chronological tail of the training
+sessions decides the schedule: an epoch that fails to beat the best score by at
 least ``improvement_threshold`` (relative) multiplies the learning rate
 by ``lr_decay_factor``, and the run stops once that has happened
 ``max_lr_reductions`` times.  The returned parameters are the checkpoint
@@ -45,12 +45,12 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ValueError("lr_decay_factor must lie in (0, 1]")
-        if self.improvement_threshold < 0:
-            raise ValueError("improvement_threshold must be non-negative")
+        if not 0.0 <= self.improvement_threshold < math.inf:
+            raise ValueError("improvement_threshold must be finite and non-negative")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in (0, 1)")
         if self.max_lr_reductions < 0:
@@ -63,7 +63,7 @@ class TrainConfig:
 class EpochRecord:
     epoch: int
     train_loss: float
-    val_rec20: float
+    val_recall: float    # recall@eval_n on the validation holdout
     lr: float
 
 
@@ -166,7 +166,7 @@ def train(train_data: Dataset, model: Model,
             best_arrays = _snapshot(model)
 
         # schedule: compare against the best score seen BEFORE this epoch
-        prior_best = max((r.val_rec20 for r in result.history[:-1]),
+        prior_best = max((r.val_recall for r in result.history[:-1]),
                          default=None)
         improved_enough = (
             prior_best is None
@@ -182,8 +182,8 @@ def train(train_data: Dataset, model: Model,
     return result
 
 
-def history_csv(history: list[EpochRecord]) -> str:
-    lines = ["epoch,train_loss,val_rec20,lr"]
-    lines += [f"{r.epoch},{r.train_loss!r},{r.val_rec20!r},{r.lr!r}"
+def history_csv(history: list[EpochRecord], eval_n: int) -> str:
+    lines = [f"epoch,train_loss,val_rec{eval_n},lr"]
+    lines += [f"{r.epoch},{r.train_loss!r},{r.val_recall!r},{r.lr!r}"
               for r in history]
     return "\n".join(lines) + "\n"

@@ -195,11 +195,9 @@ def _check_contrastive(trial):
     return ad.grad_check(build, params)
 
 
-def _triplet_units(use_margin, use_swap):
-    margin = 0.3 if use_margin else 0.0
-
+def _triplet_units(margin, use_swap):
     def check(trial):
-        rng = np.random.default_rng([204, int(use_margin), int(use_swap), trial])
+        rng = np.random.default_rng([204, int(margin != 0.0), int(use_swap), trial])
         while True:
             dp, dn = _rand_distance(rng), _rand_distance(rng)
             dpn = _rand_distance(rng)
@@ -217,7 +215,7 @@ def _triplet_units(use_margin, use_swap):
             return losses.triplet_loss(
                 tape, ts["dp"], ts["dn"],
                 dist_pos_neg=ts.get("dpn"),
-                margin=0.3, use_margin=use_margin, use_swap=use_swap)
+                margin=margin, use_swap=use_swap)
 
         return ad.grad_check(build, params)
 
@@ -257,9 +255,9 @@ GRADIENT_UNITS = {
     "loss_bpr": _check_bpr,
     "loss_top1": _check_top1,
     "loss_contrastive": _check_contrastive,
-    "loss_triplet": _triplet_units(use_margin=True, use_swap=False),
-    "loss_triplet_no_margin": _triplet_units(use_margin=False, use_swap=False),
-    "loss_triplet_swap": _triplet_units(use_margin=True, use_swap=True),
+    "loss_triplet": _triplet_units(margin=0.3, use_swap=False),
+    "loss_triplet_no_margin": _triplet_units(margin=0.0, use_swap=False),
+    "loss_triplet_swap": _triplet_units(margin=0.3, use_swap=True),
     "loss_ncas": _ncas_units(model_first=False),
     "loss_ncas_model_first": _ncas_units(model_first=True),
 }

@@ -121,11 +121,6 @@ class TestSknn:
         model = baselines.fit_sknn(train, k=2)
         assert model.recommend([7], 4) == [2, 3, 0, 1]
 
-    def test_exclude_prefix_drops_seen_items(self, train):
-        model = baselines.fit_sknn(train, k=2)
-        out = model.recommend([0, 1], 2, exclude_prefix=True)
-        assert out == [2, 3]
-
     def test_k_must_be_positive(self, train):
         with pytest.raises(ValueError):
             baselines.fit_sknn(train, k=0)

@@ -1,5 +1,8 @@
 """End-to-end command-line behaviour: exit codes, artifacts, reproducibility."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sml import autodiff as ad
-from sml import baselines, data, evaluation, index, synth, trainer
-from sml.cli import main
+from sml import baselines, data, evaluation, index, losses, sampling, synth, trainer
+from sml.cli import build_parser, main, train_configs
+from sml.encoders import ModelConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -26,14 +32,18 @@ def write_events_csv(path, sessions):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.fixture
-def corpus_csv(tmp_path):
+def write_corpus_csv(directory):
     # ten sessions cycling through eight items; every item occurs often
     sessions = [(f"s{k}", [f"i{(k + j) % 8}" for j in range(3 + k % 3)])
                 for k in range(10)]
-    path = tmp_path / "events.csv"
+    path = directory / "events.csv"
     write_events_csv(path, sessions)
     return path
+
+
+@pytest.fixture
+def corpus_csv(tmp_path):
+    return write_corpus_csv(tmp_path)
 
 
 def run_preprocess(tmp_path, corpus_csv, out_name="out"):
@@ -76,18 +86,56 @@ class TestExitCodes:
 
 class TestSeedEnv:
     def test_env_sets_default_seed(self, monkeypatch):
-        from sml.cli import build_parser
         monkeypatch.setenv("SML_SEED", "42")
         args = build_parser().parse_args(
             ["train", "--train", "x", "--model-out", "y"])
         assert args.seed == 42
 
     def test_explicit_flag_wins(self, monkeypatch):
-        from sml.cli import build_parser
         monkeypatch.setenv("SML_SEED", "42")
         args = build_parser().parse_args(
             ["train", "--train", "x", "--model-out", "y", "--seed", "7"])
         assert args.seed == 7
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--method", "POP", "--test", "t", "--seed", "1"],
+        ["recommend", "--model", "m", "--items", "i0", "--seed", "1"],
+    ])
+    def test_only_train_takes_a_seed(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+class TestTrainConfigs:
+    """The train flags fill the config dataclasses, whose defaults they keep."""
+
+    def parse(self, *flags):
+        return build_parser().parse_args(
+            ["train", "--train", "x", "--model-out", "y", *flags])
+
+    def test_minimal_command_gives_the_config_defaults(self, monkeypatch):
+        monkeypatch.setenv("SML_SEED", "42")
+        model_cfg, loss_cfg, sampler_cfg, train_cfg = train_configs(
+            self.parse(), vocab_size=9)
+        assert model_cfg == ModelConfig(vocab_size=9)
+        assert loss_cfg == losses.LossConfig()
+        assert sampler_cfg == sampling.SamplerConfig(rng_seed=42)
+        assert train_cfg == trainer.TrainConfig()
+
+    def test_renamed_flags_reach_their_fields(self):
+        model_cfg, loss_cfg, sampler_cfg, train_cfg = train_configs(
+            self.parse("--dim", "16", "--encoder", "GRU", "--loss", "NCAS",
+                       "--lr", "0.5", "--margin", "0", "--no-position-weighting",
+                       "--conv-filter-sizes", "2,4", "--knn-k", "3",
+                       "--seed", "5"),
+            vocab_size=9)
+        assert model_cfg == ModelConfig(vocab_size=9, embedding_dim=16,
+                                        encoder_kind="GRU",
+                                        conv_filter_sizes=(2, 4))
+        assert loss_cfg == losses.LossConfig(kind="NCAS", margin=0.0,
+                                             position_weighting=False)
+        assert sampler_cfg == sampling.SamplerConfig(knn_k=3, rng_seed=5)
+        assert train_cfg == trainer.TrainConfig(learning_rate=0.5)
 
 
 class TestPreprocess:
@@ -154,7 +202,7 @@ class TestTrain:
         assert model.config.embedding_dim == 8
         assert len(vocab) == 8
         history = (out_dir / "model.bin.history.csv").read_text().splitlines()
-        assert history[0] == "epoch,train_loss,val_rec20,lr"
+        assert history[0] == "epoch,train_loss,val_rec5,lr"
         assert len(history) == 3
 
     def test_fixed_seed_gives_identical_model_bytes(self, tmp_path, corpus_csv):
@@ -206,6 +254,19 @@ class TestTrain:
                                            "--epsilon": 0}))
         assert code == 1
         assert "epsilon > 0" in capsys.readouterr().err
+        assert calls == []
+        assert not (out_dir / "model.bin").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--margin", "nan"),
+        ("--improvement-threshold", "nan")])
+    def test_non_finite_setting_fails_before_training(
+            self, tmp_path, corpus_csv, monkeypatch, capsys, flag, value):
+        out_dir = run_preprocess(tmp_path, corpus_csv)
+        calls = []
+        monkeypatch.setattr(ad, "adam_step", lambda *a, **k: calls.append("adam_step"))
+        assert main(train_args(out_dir, **{flag: value})) == 1
+        assert "finite" in capsys.readouterr().err
         assert calls == []
         assert not (out_dir / "model.bin").exists()
 
@@ -349,3 +410,84 @@ class TestRecommend:
         model_path = self._trained(tmp_path, corpus_csv)
         assert main(["recommend", "--model", str(model_path),
                      "--items", ","]) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever `train` accepts either trains or fails before the first step
+# ---------------------------------------------------------------------------
+
+# each numeric option's boundary values: both sides of every bound its
+# config checks, and the non-finite floats
+BOUNDARY_VALUES = {
+    "--dim": ["0", "1", "3"],
+    "--max-session-length": ["0", "1", "2", "15"],
+    "--conv-filter-sizes": ["0", "1", "2", "1,3", "1,16"],
+    "--session-ff-depth": ["0", "1", "2"],
+    "--margin": ["-0.1", "0", "0.3", "2", "nan", "inf", "-inf"],
+    "--epsilon": ["-0.1", "0", "1", "1.1", "nan", "inf"],
+    "--samples-per-session": ["0", "1", "50"],
+    "--window-size": ["0", "1", "20"],
+    "--knn-k": ["0", "1", "50"],
+    "--batch-size": ["0", "1", "1000"],
+    "--lr": ["-1", "0", "1e-12", "1", "nan", "inf", "-inf"],
+    "--lr-decay-factor": ["0", "1e-9", "1", "1.5", "nan"],
+    "--improvement-threshold": ["-0.1", "0", "1e9", "nan", "inf"],
+    "--validation-fraction": ["0", "0.01", "0.5", "0.99", "1", "nan"],
+    "--max-lr-reductions": ["-1", "0", "1"],
+    "--eval-n": ["0", "1", "1000"],
+    "--seed": ["-1", "0", "18446744073709551616"],
+}
+# set by the fuzz itself: the input, the outputs and the one-epoch budget
+FIXED_FLAGS = ("--train", "--model-out", "--history-out", "--max-epochs")
+
+
+def train_flag_values() -> dict[str, list[list[str]]]:
+    """Every settable `train` flag with the argument lists to draw for it:
+    both forms of a boolean, each choice argparse offers, or the boundary
+    values above (a flag missing there fails here with a KeyError)."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    for action in sub.choices["train"]._actions:
+        flag = action.option_strings[0] if action.option_strings else None
+        if flag in (None, "-h") or flag in FIXED_FLAGS:
+            continue
+        if isinstance(action, argparse.BooleanOptionalAction):
+            out[flag] = [[flag], ["--no-" + flag[2:]]]
+        else:
+            # "--flag=value": argparse would read a lone "-inf" as a flag
+            out[flag] = [[f"{flag}={v}"]
+                         for v in action.choices or BOUNDARY_VALUES[flag]]
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return run_preprocess(root, write_corpus_csv(root))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_train_flags_work_or_fail_before_the_first_step(fuzz_dir, draw):
+    values = train_flag_values()
+    # a drawn --dim replaces this width, which keeps the rest small
+    argv = ["train", "--train", str(fuzz_dir / "train.jsonl"),
+            "--model-out", str(fuzz_dir / "model.bin"), "--max-epochs", "1",
+            "--dim", "4"]
+    for flag in draw.draw(st.lists(st.sampled_from(sorted(values)),
+                                   max_size=8, unique=True), label="flags"):
+        argv += draw.draw(st.sampled_from(values[flag]), label=flag)
+    steps = []
+    adam_step = ad.adam_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        adam_step(*args, **kwargs)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(ad, "adam_step", counted_step)
+        code = main(argv)
+    assert code == 0 or (code in (1, 2, 3) and not steps), (code, err.getvalue())

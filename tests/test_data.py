@@ -14,6 +14,13 @@ def ev(sid, ts, item):
     return data.RawEvent(str(sid), ts, str(item))
 
 
+def to_events(dataset):
+    """Flatten a dataset back into an event stream (session order kept)."""
+    return [data.RawEvent(s.session_id, ts, dataset.vocab.ids[idx])
+            for s in dataset.sessions
+            for idx, ts in zip(s.items, s.timestamps)]
+
+
 def corpus_events():
     """Five sessions; items u/v/w are frequent, 'rare' occurs twice."""
     rows = [
@@ -123,7 +130,7 @@ class TestPreprocess:
 
     def test_idempotent_on_example_corpus(self):
         first = data.preprocess(corpus_events(), min_item_count=3)
-        second = data.preprocess(data.to_events(first), min_item_count=3)
+        second = data.preprocess(to_events(first), min_item_count=3)
         assert first == second
 
     def test_min_session_length_validation(self):
@@ -296,6 +303,6 @@ def test_preprocess_idempotent(blueprint, min_count, max_len):
                                 min_session_length=2, max_session_length=max_len)
     except data.EmptyDatasetError:
         return
-    second = data.preprocess(data.to_events(first), min_item_count=min_count,
+    second = data.preprocess(to_events(first), min_item_count=min_count,
                              min_session_length=2, max_session_length=max_len)
     assert first == second

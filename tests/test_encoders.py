@@ -59,7 +59,8 @@ class TestBuild:
         for kind in KINDS:
             shared = make_model(kind=kind, common_embedding=True)
             split = make_model(kind=kind, common_embedding=False)
-            assert shared.params.count_values() < split.params.count_values()
+            assert (sum(p.values.size for _, p in shared.params.items())
+                    < sum(p.values.size for _, p in split.params.items()))
 
     def test_separate_session_table_when_not_common(self):
         model = make_model(common_embedding=False)

@@ -58,17 +58,6 @@ class TestItemIndex:
         idx = index.ItemIndex(vectors)
         assert [i for i, _ in idx.topn(row, 4)] == [0, 2, 3, 1]
 
-    def test_exclusion_removes_items(self):
-        idx = index.ItemIndex(np.eye(4, dtype=np.float32))
-        query = np.array([1, 0, 0, 0], dtype=np.float32)
-        got = idx.topn(query, 2, exclude={0})
-        assert 0 not in [i for i, _ in got]
-        assert len(got) == 2
-
-    def test_excluding_everything_gives_empty_list(self):
-        idx = index.ItemIndex(np.eye(3, dtype=np.float32))
-        assert idx.topn(np.ones(3, dtype=np.float32), 2, exclude={0, 1, 2}) == []
-
     def test_query_matching_a_row_ranks_it_first_with_score_one(self):
         model = make_model(vocab=15, dim=8, seed=3)
         idx = index.ItemIndex.from_model(model)
@@ -290,6 +279,13 @@ class TestDamagedModelFiles:
         header["vocab"]["ids"].pop()
         header["vocab"]["counts"].pop()
         with pytest.raises(index.ModelFormatError, match="vocabulary"):
+            index.model_from_bytes(_join_header(head, header, rest))
+
+    def test_huge_feed_forward_depth_rejected(self):
+        # listing 2**40 layer names exhausted memory before any check ran
+        head, header, rest = _split_header(FUZZ_BLOB)
+        header["config"]["session_ff_depth"] = 2 ** 40
+        with pytest.raises(index.ModelFormatError, match="session_ff_depth"):
             index.model_from_bytes(_join_header(head, header, rest))
 
     def test_non_string_ids_rejected(self):

@@ -110,7 +110,7 @@ class TestTriplet:
 
     def test_margin_disabled(self):
         np.testing.assert_allclose(
-            loss_value(losses.triplet_loss, 0.5, 0.4, use_margin=False), 0.1,
+            loss_value(losses.triplet_loss, 0.5, 0.4, margin=0.0), 0.1,
             atol=1e-12)
 
     def test_swap_uses_closer_negative(self):
@@ -276,13 +276,19 @@ def test_gru_tape_size_does_not_grow_with_prefix_length(kind):
     assert len(counts) == 1, sorted(counts)
 
 
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_margin(margin):
+    with pytest.raises(ValueError, match="finite"):
+        losses.LossConfig(margin=margin)
+
+
 @pytest.mark.parametrize("kind,cfg_kwargs", [
     ("BPR", {}),
     ("TOP1", {}),
     ("Contrastive", {}),
     ("Triplet", {}),
     ("Triplet", {"use_swap": True}),
-    ("Triplet", {"use_margin": False}),
+    ("Triplet", {"margin": 0.0}),
     ("NCAS", {}),
     ("NCAS", {"kld_model_first": True}),
 ])
@@ -358,7 +364,7 @@ def numpy_session_loss(model, prefix, positives, negatives, cfg):
         if cfg.kind == "Triplet":
             if cfg.use_swap:
                 dn = min(dn, 1.0 - float(item(p) @ item(q)))
-            term = max(0.0, dp - dn + (cfg.margin if cfg.use_margin else 0.0))
+            term = max(0.0, dp - dn + cfg.margin)
         elif cfg.kind == "BPR":
             term = -math.log(_sigmoid(dn - dp))
         elif cfg.kind == "TOP1":
@@ -373,7 +379,7 @@ def numpy_session_loss(model, prefix, positives, negatives, cfg):
 ORACLE_CONFIGS = [
     {"kind": "Triplet"},
     {"kind": "Triplet", "use_swap": True},
-    {"kind": "Triplet", "use_margin": False},
+    {"kind": "Triplet", "margin": 0.0},
     {"kind": "Triplet", "position_weighting": False},
     {"kind": "BPR"},
     {"kind": "BPR", "position_weighting": False},

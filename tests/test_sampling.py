@@ -236,6 +236,11 @@ class TestBuildEpoch:
             # vocab of 4 always leaves room to reach two positives here
             assert len(ex.positives) == 2
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed; say which setting is wrong
+        with pytest.raises(ValueError, match="rng_seed"):
+            sampling.SamplerConfig(rng_seed=-1)
+
     def test_knn_augment_requires_model(self):
         train = self._train()
         cfg = sampling.SamplerConfig(knn_augment=True)

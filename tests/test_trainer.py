@@ -1,5 +1,7 @@
 """Training loop: schedule, checkpointing, determinism, divergence guard."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,12 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             trainer.TrainConfig(**bad)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "improvement_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            trainer.TrainConfig(**{field: value})
 
 
 class TestSplitValidation:
@@ -165,7 +173,7 @@ class TestTrainLoop:
         cfg = quick_cfg(max_epochs=4)
         result = trainer.train(corpus, model, sampler_cfg=quick_sampler(),
                                train_cfg=cfg)
-        vals = [r.val_rec20 for r in result.history]
+        vals = [r.val_recall for r in result.history]
         assert result.best_val == max(vals)
         assert result.best_epoch == vals.index(max(vals))
         # the returned parameters must reproduce the best validation score
@@ -235,7 +243,7 @@ class TestHistoryCsv:
     def test_round_trips_through_float_parse(self):
         rows = [trainer.EpochRecord(0, 1.25, 0.5, 0.001),
                 trainer.EpochRecord(1, 1.0625, 0.625, 0.001)]
-        text = trainer.history_csv(rows)
+        text = trainer.history_csv(rows, 20)
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_rec20,lr"
         cells = lines[1].split(",")
@@ -244,4 +252,4 @@ class TestHistoryCsv:
         assert float(cells[3]) == 0.001
 
     def test_empty_history(self):
-        assert trainer.history_csv([]) == "epoch,train_loss,val_rec20,lr\n"
+        assert trainer.history_csv([], 20) == "epoch,train_loss,val_rec20,lr\n"
