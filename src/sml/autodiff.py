@@ -10,7 +10,9 @@ addition in :func:`dense` and rows against a vector in
 :func:`cosine_distance` are taken row by row, so a batch of items and its
 loss cost a handful of ops.  :func:`gru_sequence` records a whole
 recurrence as one node whose backward is a hand-written backpropagation
-through time.
+through time, and :func:`fused` records one node for a function whose
+values and local derivatives the caller computed in numpy (each ranking
+loss is one).
 
 Scalars are represented as 0-d arrays.  Training code runs in float32; the
 finite-difference checker :func:`grad_check` re-evaluates graphs in float64.
@@ -18,7 +20,7 @@ finite-difference checker :func:`grad_check` re-evaluates graphs in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,22 +167,6 @@ def scale(tape, x: Tensor, c: float) -> Tensor:
     return _result(tape, "scale", (x,), x.values * x.dtype.type(c), back)
 
 
-def exp(tape, x: Tensor) -> Tensor:
-    y = np.exp(x.values)
-
-    def back(g):
-        _accum(x, g * y)
-
-    return _result(tape, "exp", (x,), y, back)
-
-
-def log(tape, x: Tensor) -> Tensor:
-    def back(g):
-        _accum(x, g / x.values)
-
-    return _result(tape, "log", (x,), np.log(x.values), back)
-
-
 def sigmoid(tape, x: Tensor) -> Tensor:
     # tanh form avoids exp overflow for large |x|
     y = 0.5 * (1.0 + np.tanh(0.5 * x.values))
@@ -191,30 +177,38 @@ def sigmoid(tape, x: Tensor) -> Tensor:
     return _result(tape, "sigmoid", (x,), y.astype(x.dtype), back)
 
 
-def relu(tape, x: Tensor) -> Tensor:
-    def back(g):
-        _accum(x, g * (x.values > 0))
-
-    return _result(tape, "relu", (x,), np.maximum(x.values, 0), back)
-
-
-def minimum(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; on an exact tie the gradient goes to ``a``."""
-    _require_same_shape("minimum", a, b)
-    take_a = a.values <= b.values
-
-    def back(g):
-        _accum(a, g * take_a)
-        _accum(b, g * ~take_a)
-
-    return _result(tape, "minimum", (a, b), np.minimum(a.values, b.values), back)
-
-
 def reduce_sum(tape, x: Tensor) -> Tensor:
     def back(g):
         _accum(x, np.full_like(x.values, g))
 
     return _result(tape, "reduce_sum", (x,), x.values.sum(), back)
+
+
+def fused(tape, op: str, inputs: Sequence[Tensor], values, slopes: Sequence) -> Tensor:
+    """One node for a function whose values and local derivatives the caller
+    computed.
+
+    The inputs share one shape, and ``values`` has that shape (an
+    elementwise function: entry k reads entry k of each input) or is a
+    scalar.  ``slopes[i]`` has the inputs' shape and holds
+    d values[k] / d inputs[i][k], or d values / d inputs[i][k] for a scalar,
+    so either way the backward multiplies the incoming gradient by each
+    slope.  Values and slopes are cast to the first input's dtype.
+    """
+    inputs = tuple(inputs)
+    for t in inputs[1:]:
+        _require_same_shape(op, inputs[0], t)
+    shape, dtype = inputs[0].shape, inputs[0].dtype
+    values = np.asarray(values, dtype=dtype)
+    slopes = [np.asarray(s, dtype=dtype) for s in slopes]
+    if values.shape not in ((), shape) or [s.shape for s in slopes] != [shape] * len(inputs):
+        raise ValueError(f"{op}: values or slopes do not match the inputs' shape")
+
+    def back(g):
+        for t, s in zip(inputs, slopes):
+            _accum(t, g * s)
+
+    return _result(tape, op, inputs, values, back)
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +449,6 @@ def cosine_distance(tape, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, "cosine_distance", (a, b), values, back)
 
 
-def log_softmax(tape, x: Tensor) -> Tensor:
-    """Numerically stable log-softmax of a vector (max is subtracted first)."""
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ValueError("log_softmax expects a non-empty 1-d input")
-    shifted = x.values - x.values.max()
-    lse = np.log(np.exp(shifted).sum())
-    values = shifted - lse
-    soft = np.exp(values)
-
-    def back(g):
-        _accum(x, g - soft * g.sum())
-
-    return _result(tape, "log_softmax", (x,), values, back)
-
-
 # ---------------------------------------------------------------------------
 # GRU
 # ---------------------------------------------------------------------------
@@ -605,17 +584,8 @@ class ParamSet:
     def items(self):
         return self._params.items()
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
 
 def adam_step(params: ParamSet, lr: float = 0.001, beta1: float = 0.9,

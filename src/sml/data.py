@@ -237,6 +237,21 @@ def preprocess(events: list[RawEvent], min_item_count: int = 5,
 # splitting
 # ---------------------------------------------------------------------------
 
+def chronological_split(sessions: list[Session],
+                        fraction: float) -> tuple[list[Session], list[Session]]:
+    """Sessions in start-time order, cut before the last
+    max(1, ceil(n * fraction)) of them; both sides must keep a session."""
+    ordered = sorted(sessions, key=lambda s: s.start_time)
+    n = len(ordered)
+    # the epsilon keeps float noise like 30 * 0.1 = 3.0000000000000004
+    # from bumping the ceiling up a whole session
+    n_tail = max(1, math.ceil(n * fraction - 1e-9))
+    if n_tail >= n:
+        raise EmptyDatasetError(
+            f"cannot hold out {n_tail} of {n} sessions and keep one to train on")
+    return ordered[:-n_tail], ordered[-n_tail:]
+
+
 def split_train_test(dataset: Dataset, test_fraction: float = 0.1) -> Split:
     """Hold out the chronologically last fraction of sessions for testing.
 
@@ -247,16 +262,8 @@ def split_train_test(dataset: Dataset, test_fraction: float = 0.1) -> Split:
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
-    n = len(dataset.sessions)
-    ordered = sorted(dataset.sessions, key=lambda s: s.start_time)
-    # the epsilon keeps float noise like 30 * 0.1 = 3.0000000000000004
-    # from bumping the ceiling up a whole session
-    n_test = max(1, math.ceil(n * test_fraction - 1e-9))
-    if n_test >= n:
-        raise EmptyDatasetError("test fraction leaves no training sessions")
-
-    train_sessions = ordered[:-n_test]
-    test_sessions = ordered[-n_test:]
+    train_sessions, test_sessions = chronological_split(dataset.sessions,
+                                                        test_fraction)
 
     train_vocab = ItemVocab()
     train_out = []
@@ -352,31 +359,30 @@ def dataset_from_sessions(rows: list[tuple[str, list[str], list[int]]],
     """Assemble a Dataset from id-level sessions.
 
     Without a vocabulary one is built in first-appearance order.  With one,
-    unknown items are dropped and sessions shrinking below two items are
-    discarded (the vocabulary is shared, not copied).
+    unknown items are dropped (the vocabulary is shared, not copied).
+    Either way a session left with fewer than two items is dropped with a
+    warning, and its items do not enter a new vocabulary.
     """
-    if vocab is None:
+    fresh = vocab is None
+    if fresh:
         vocab = ItemVocab()
-        sessions = []
-        for sid, items, timestamps in rows:
-            indices = []
-            for item in items:
-                idx = vocab.add(item)
-                vocab.counts[idx] += 1
-                indices.append(idx)
-            sessions.append(Session(sid, indices, list(timestamps)))
-        return Dataset(sessions, vocab)
-
     sessions = []
-    dropped_items = 0
+    unknown = short = 0
     for sid, items, timestamps in rows:
-        pairs = [(vocab.index[i], t) for i, t in zip(items, timestamps) if i in vocab]
-        dropped_items += len(items) - len(pairs)
+        pairs = [(i, t) for i, t in zip(items, timestamps) if fresh or i in vocab]
+        unknown += len(items) - len(pairs)
         if len(pairs) < 2:
+            short += 1
             continue
-        sessions.append(Session(sid, [i for i, _ in pairs], [t for _, t in pairs]))
-    if dropped_items:
-        logger.warning("dropped %d events with out-of-vocabulary items", dropped_items)
+        if fresh:
+            for item, _ in pairs:
+                vocab.counts[vocab.add(item)] += 1
+        sessions.append(Session(sid, [vocab.index[i] for i, _ in pairs],
+                                [t for _, t in pairs]))
+    if unknown:
+        logger.warning("dropped %d events with out-of-vocabulary items", unknown)
+    if short:
+        logger.warning("dropped %d sessions with fewer than two items", short)
     if not sessions:
-        raise EmptyDatasetError("no usable sessions after vocabulary mapping")
+        raise EmptyDatasetError("no sessions with two or more usable items")
     return Dataset(sessions, vocab)

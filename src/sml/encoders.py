@@ -183,21 +183,19 @@ def encode_items(model: Model, items, tape: ad.Tape | None = None) -> ad.Tensor:
     return vecs
 
 
-def session_window(config: ModelConfig, prefix) -> list[int]:
-    """The last ``max_session_length`` items of a prefix: the window the
-    encoder sees, in training and in serving alike."""
-    return list(prefix)[-config.max_session_length:]
-
-
 def encode_session(model: Model, prefix, tape: ad.Tape | None = None) -> ad.Tensor:
-    """Encode an item-index prefix into the shared embedding space."""
-    config = model.config
-    length = len(prefix)
-    if not 1 <= length <= config.max_session_length:
-        raise ValueError(
-            f"prefix length {length} outside [1, {config.max_session_length}]")
+    """Encode an item-index prefix into the shared embedding space.
 
-    x = ad.embedding_lookup(tape, model.session_table, list(prefix))
+    The encoder sees the last ``max_session_length`` items of the prefix,
+    in training and in serving alike.
+    """
+    config = model.config
+    prefix = list(prefix)[-config.max_session_length:]
+    if not prefix:
+        raise ValueError("prefix is empty")
+    length = len(prefix)
+
+    x = ad.embedding_lookup(tape, model.session_table, prefix)
     kind = config.encoder_kind
     if kind == "MaxPool":
         core = ad.seq_pool(tape, x, "max", length)

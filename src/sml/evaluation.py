@@ -14,7 +14,7 @@ All reported numbers are micro-averages over measurement points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Protocol, Sequence
 
 from .data import Dataset
@@ -78,16 +78,7 @@ class EvalReport:
     coverage: int
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "points": self.points,
-            "map": self.map,
-            "precision": self.precision,
-            "recall": self.recall,
-            "hit_rate": self.hit_rate,
-            "mrr": self.mrr,
-            "coverage": self.coverage,
-        }
+        return asdict(self)
 
 
 def evaluate(recommender: Recommender, test: Dataset, n: int = 20,

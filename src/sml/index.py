@@ -80,11 +80,7 @@ class ItemIndex:
 
 @dataclass
 class SmlRecommender:
-    """Adapts a trained model to the evaluation protocol.
-
-    Prefixes longer than the model's session window keep only their most
-    recent items, mirroring what the encoder saw during training.
-    """
+    """Adapts a trained model to the evaluation protocol."""
 
     model: Model
     index: ItemIndex
@@ -94,8 +90,7 @@ class SmlRecommender:
         return cls(model, ItemIndex.from_model(model))
 
     def recommend_scored(self, prefix, n: int) -> list[tuple[int, float]]:
-        window = encoders.session_window(self.model.config, prefix)
-        session_vec = encoders.encode_session(self.model, window)
+        session_vec = encoders.encode_session(self.model, prefix)
         return self.index.topn(session_vec.values, n)
 
     def recommend(self, prefix, n: int) -> list[int]:

@@ -4,7 +4,9 @@ The pairwise losses consume distance tensors ``dist_pos`` (session to
 observed next item) and ``dist_neg`` (session to a sampled negative) of any
 one shape and act elementwise, so one call scores every position of an
 example; they are minimised when positives are pulled close and negatives
-pushed away.  The per-session objective weights sampled positions
+pushed away.  Each loss computes its value and its derivative with
+respect to the distances it receives in numpy and records one tape node
+(``ad.fused``).  The per-session objective weights sampled positions
 j = 0, 1, ... by sqrt(1/(1+j)) so that the immediate continuation dominates.
 """
 
@@ -42,14 +44,17 @@ class LossConfig:
                              "KLD(model || target) diverges for a zero-mass target")
 
 
-def _const_like(reference: ad.Tensor, value: float) -> ad.Tensor:
-    return ad.constant(np.full(reference.shape, value, dtype=reference.dtype))
+def _sigmoid(x):
+    # tanh form avoids exp overflow for large |x|
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def bpr_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
     """-ln(sigmoid(dist_neg - dist_pos)); always positive."""
-    gap = ad.sub(tape, dist_neg, dist_pos)
-    return ad.scale(tape, ad.log(tape, ad.sigmoid(tape, gap)), -1.0)
+    gap = dist_pos.values - dist_neg.values
+    slope = _sigmoid(gap)
+    return ad.fused(tape, "bpr_loss", (dist_pos, dist_neg),
+                    np.logaddexp(0.0, gap), (slope, -slope))
 
 
 def top1_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
@@ -57,18 +62,23 @@ def top1_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
 
     The second term regularises negatives toward distance 1 (score 0).
     """
-    rank = ad.sigmoid(tape, ad.sub(tape, dist_pos, dist_neg))
-    slack = ad.sub(tape, _const_like(dist_neg, 1.0), dist_neg)
-    reg = ad.sigmoid(tape, ad.mul(tape, slack, slack))
-    return ad.add(tape, rank, reg)
+    rank = _sigmoid(dist_pos.values - dist_neg.values)
+    slack = 1.0 - dist_neg.values
+    reg = _sigmoid(slack * slack)
+    rank_slope = rank * (1.0 - rank)
+    reg_slope = reg * (1.0 - reg) * 2.0 * slack  # d reg / d slack
+    return ad.fused(tape, "top1_loss", (dist_pos, dist_neg), rank + reg,
+                    (rank_slope, -rank_slope - reg_slope))
 
 
 def contrastive_loss(tape, dist: ad.Tensor, same_class: bool,
                      margin: float = 0.3) -> ad.Tensor:
     """Pull same-class pairs together, push different pairs past the margin."""
-    if same_class:
-        return dist
-    return ad.relu(tape, ad.sub(tape, dist, _const_like(dist, margin)))
+    values, slope = dist.values, np.ones_like(dist.values)
+    if not same_class:
+        excess = dist.values - margin
+        values, slope = np.maximum(excess, 0), excess > 0
+    return ad.fused(tape, "contrastive_loss", (dist,), values, (slope,))
 
 
 def triplet_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor,
@@ -80,15 +90,18 @@ def triplet_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor,
     min(dist_neg, dist_pos_neg); an exact tie routes the gradient to
     ``dist_neg``.
     """
-    effective = dist_neg
+    inputs, negative = (dist_pos, dist_neg), dist_neg.values
     if use_swap:
         if dist_pos_neg is None:
             raise ValueError("use_swap requires dist_pos_neg")
-        effective = ad.minimum(tape, dist_neg, dist_pos_neg)
-    gap = ad.sub(tape, dist_pos, effective)
-    if margin != 0.0:
-        gap = ad.add(tape, gap, _const_like(gap, margin))
-    return ad.relu(tape, gap)
+        inputs += (dist_pos_neg,)
+        take_neg = dist_neg.values <= dist_pos_neg.values
+        negative = np.minimum(dist_neg.values, dist_pos_neg.values)
+    gap = dist_pos.values - negative + margin
+    active = (gap > 0).astype(gap.dtype)
+    slopes = ((active, -active * take_neg, -active * ~take_neg) if use_swap
+              else (active, -active))
+    return ad.fused(tape, "triplet_loss", inputs, np.maximum(gap, 0), slopes)
 
 
 def position_weight(j: int) -> float:
@@ -119,40 +132,22 @@ def ncas_from_distances(tape, dists: ad.Tensor, positive_flags: list[bool],
     hard = np.array([1.0 / n_pos if f else 0.0 for f in positive_flags])
     target = (1.0 - epsilon) * hard + epsilon / n
 
-    logits = ad.scale(tape, dists, -1.0)
-    log_model = ad.log_softmax(tape, logits)
-    target_c = ad.constant(target.astype(log_model.dtype))
-
+    # log-softmax of the logits -dists, shifted by their maximum first
+    shifted = dists.values.min() - dists.values
+    log_model = shifted - np.log(np.exp(shifted).sum())
+    probs = np.exp(log_model)
     if model_first:
         if np.any(target == 0.0):
             raise ValueError("KLD(model || target) diverges for a zero-mass target; "
                              "use epsilon > 0")
-        log_target = ad.constant(np.log(target).astype(log_model.dtype))
-        model_probs = ad.exp(tape, log_model)
-        gap = ad.sub(tape, log_model, log_target)
-        return ad.reduce_sum(tape, ad.mul(tape, model_probs, gap))
-
-    entropy = float(np.sum(target[target > 0] * np.log(target[target > 0])))
-    cross = ad.reduce_sum(tape, ad.mul(tape, target_c, log_model))
-    return ad.add(tape, _const_like(cross, entropy), ad.scale(tape, cross, -1.0))
-
-
-def _encode_candidates(tape, model: encoders.Model, prefix,
-                       candidates: list[int]) -> tuple[ad.Tensor, ad.Tensor]:
-    """Candidate encodings (rows) and their distances to the encoded session."""
-    session_vec = encoders.encode_session(model, prefix, tape)
-    item_vecs = encoders.encode_items(model, candidates, tape)
-    return item_vecs, ad.cosine_distance(tape, item_vecs, session_vec)
-
-
-def ncas_loss(tape, model: encoders.Model, prefix, candidates: list[int],
-              positive_flags: list[bool], epsilon: float = 0.3,
-              model_first: bool = False) -> ad.Tensor:
-    """Candidate-set softmax loss against the encoded session."""
-    if len(set(candidates)) != len(candidates):
-        raise ValueError("candidate items must be distinct")
-    _, dists = _encode_candidates(tape, model, prefix, candidates)
-    return ncas_from_distances(tape, dists, positive_flags, epsilon, model_first)
+        gap = log_model - np.log(target)
+        value = np.sum(probs * gap)
+        slope = probs * (value - gap)
+    else:
+        keep = target > 0
+        value = np.sum(target[keep] * (np.log(target[keep]) - log_model[keep]))
+        slope = target - probs
+    return ad.fused(tape, "ncas_from_distances", (dists,), value, (slope,))
 
 
 def session_loss(tape, model: encoders.Model, prefix, positives: list[int],
@@ -169,12 +164,14 @@ def session_loss(tape, model: encoders.Model, prefix, positives: list[int],
     # distinct candidates, positives first; a repeated positive keeps one
     # slot, and for NCAS adds nothing to a set-softmax target
     items = list(dict.fromkeys(positives + negatives))
+    session_vec = encoders.encode_session(model, prefix, tape)
+    item_vecs = encoders.encode_items(model, items, tape)
+    dists = ad.cosine_distance(tape, item_vecs, session_vec)
     if cfg.kind == "NCAS":
         flags = [item in positives for item in items]
-        return ncas_loss(tape, model, prefix, items, flags, cfg.epsilon,
-                         cfg.kld_model_first)
+        return ncas_from_distances(tape, dists, flags, cfg.epsilon,
+                                   cfg.kld_model_first)
 
-    item_vecs, dists = _encode_candidates(tape, model, prefix, items)
     slot = {item: k for k, item in enumerate(items)}
     pos_slots = [slot[p] for p in positives]
     neg_slots = [slot[n] for n in negatives]

@@ -20,13 +20,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluation, losses, sampling
-from .data import Dataset
-from .encoders import Model, session_window
+from .data import Dataset, chronological_split
+from .encoders import Model
 from .index import SmlRecommender
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; results would be garbage."""
+    """Training overflowed or produced a non-finite loss; results would be
+    garbage."""
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,8 @@ def split_validation(train_data: Dataset,
     Both halves keep the full training vocabulary: the holdout is only ever
     scored, never used to fit anything, so no vocabulary closure is needed.
     """
-    sessions = sorted(train_data.sessions, key=lambda s: s.start_time)
-    n = len(sessions)
-    n_val = max(1, math.ceil(n * fraction - 1e-9))
-    if n_val >= n:
-        raise ValueError(
-            f"cannot hold out {n_val} of {n} sessions for validation")
-    return (Dataset(sessions[:-n_val], train_data.vocab),
-            Dataset(sessions[-n_val:], train_data.vocab))
+    grad, val = chronological_split(train_data.sessions, fraction)
+    return Dataset(grad, train_data.vocab), Dataset(val, train_data.vocab)
 
 
 def validate(model: Model, val_sessions: Dataset, n: int = 20) -> float:
@@ -134,49 +129,55 @@ def train(train_data: Dataset, model: Model,
     best_arrays = _snapshot(model)
     result.stop_reason = "max_epochs"
 
-    for epoch in range(train_cfg.max_epochs):
-        examples = sampling.build_epoch(
-            grad_data, sampler_cfg, epoch,
-            model if sampler_cfg.knn_augment else None)
+    # an overflow or a NaN made from finite numbers is a divergence, even
+    # when it saturates into finite outputs (a tanh of inf is 1)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(train_cfg.max_epochs):
+                where = f"epoch {epoch} (sampling)"
+                examples = sampling.build_epoch(
+                    grad_data, sampler_cfg, epoch,
+                    model if sampler_cfg.knn_augment else None)
 
-        loss_sum = 0.0
-        for lo in range(0, len(examples), train_cfg.batch_size):
-            batch = examples[lo:lo + train_cfg.batch_size]
-            tape = ad.Tape()
-            terms = [losses.session_loss(
-                         tape, model, session_window(model.config, ex.prefix),
-                         ex.positives, ex.negatives, loss_cfg)
-                     for ex in batch]
-            batch_loss = _mean_loss(tape, terms)
-            if not np.isfinite(batch_loss.values):
-                raise DivergenceError(
-                    f"non-finite loss in epoch {epoch} "
-                    f"(batch starting at example {lo})")
-            ad.backward(tape, batch_loss)
-            ad.adam_step(model.params, lr=lr)
-            loss_sum += float(batch_loss.values) * len(batch)
+                loss_sum = 0.0
+                for lo in range(0, len(examples), train_cfg.batch_size):
+                    batch = examples[lo:lo + train_cfg.batch_size]
+                    where = f"epoch {epoch} (batch starting at example {lo})"
+                    tape = ad.Tape()
+                    terms = [losses.session_loss(tape, model, ex.prefix, ex.positives,
+                                                 ex.negatives, loss_cfg)
+                             for ex in batch]
+                    batch_loss = _mean_loss(tape, terms)
+                    if not np.isfinite(batch_loss.values):
+                        raise DivergenceError(f"non-finite loss in {where}")
+                    ad.backward(tape, batch_loss)
+                    ad.adam_step(model.params, lr=lr)
+                    loss_sum += float(batch_loss.values) * len(batch)
 
-        train_loss = loss_sum / len(examples)
-        val_rec = validate(model, val_data, n=train_cfg.eval_n)
-        result.history.append(EpochRecord(epoch, train_loss, val_rec, lr))
+                train_loss = loss_sum / len(examples)
+                where = f"epoch {epoch} (validation)"
+                val_rec = validate(model, val_data, n=train_cfg.eval_n)
+                result.history.append(EpochRecord(epoch, train_loss, val_rec, lr))
 
-        if val_rec > result.best_val or result.best_epoch < 0:
-            result.best_val = val_rec
-            result.best_epoch = epoch
-            best_arrays = _snapshot(model)
+                if val_rec > result.best_val or result.best_epoch < 0:
+                    result.best_val = val_rec
+                    result.best_epoch = epoch
+                    best_arrays = _snapshot(model)
 
-        # schedule: compare against the best score seen BEFORE this epoch
-        prior_best = max((r.val_recall for r in result.history[:-1]),
-                         default=None)
-        improved_enough = (
-            prior_best is None
-            or val_rec > prior_best * (1.0 + train_cfg.improvement_threshold))
-        if not improved_enough:
-            lr *= train_cfg.lr_decay_factor
-            reductions += 1
-            if reductions >= train_cfg.max_lr_reductions:
-                result.stop_reason = "lr_reductions"
-                break
+                # schedule: compare against the best score seen BEFORE this epoch
+                prior_best = max((r.val_recall for r in result.history[:-1]),
+                                 default=None)
+                improved_enough = (
+                    prior_best is None
+                    or val_rec > prior_best * (1.0 + train_cfg.improvement_threshold))
+                if not improved_enough:
+                    lr *= train_cfg.lr_decay_factor
+                    reductions += 1
+                    if reductions >= train_cfg.max_lr_reductions:
+                        result.stop_reason = "lr_reductions"
+                        break
+    except FloatingPointError as exc:
+        raise DivergenceError(f"numeric overflow in {where}: {exc}") from exc
 
     _restore(model, best_arrays)
     return result

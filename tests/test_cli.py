@@ -41,6 +41,14 @@ def write_corpus_csv(directory):
     return path
 
 
+def write_sessions_jsonl(path, sessions):
+    """sessions: lists of item ids, written in chronological order."""
+    path.write_text("".join(
+        json.dumps({"id": f"s{k}", "items": items,
+                    "timestamps": [100 * k + j for j in range(len(items))]}) + "\n"
+        for k, items in enumerate(sessions)))
+
+
 @pytest.fixture
 def corpus_csv(tmp_path):
     return write_corpus_csv(tmp_path)
@@ -179,6 +187,13 @@ class TestStats:
         assert (stats_dir / "repeat_fractions.tsv").exists()
         assert "sessions\t8" in capsys.readouterr().out
 
+    def test_one_item_sessions_are_not_counted(self, tmp_path, capsys):
+        path = tmp_path / "sessions.jsonl"
+        write_sessions_jsonl(path, [["a", "b"], ["c"], ["b", "a", "b"]])
+        assert main(["stats", "--sessions", str(path),
+                     "--out-dir", str(tmp_path / "stats")]) == 0
+        assert capsys.readouterr().out == "sessions\t2\nevents\t5\nitems\t2\n"
+
 
 def train_args(out_dir, model_name="model.bin", **extra):
     base = ["train", "--train", str(out_dir / "train.jsonl"),
@@ -221,8 +236,8 @@ class TestTrain:
         assert "model\tSML-AvgPool-BPR" in capsys.readouterr().out
 
     def test_sessions_longer_than_the_window_train(self, tmp_path):
-        # preprocess keeps up to 15 events a session; training windows the
-        # prefixes to the encoder's 10
+        # preprocess keeps up to 15 events a session; the encoder keeps the
+        # last 10 items of each prefix
         events = tmp_path / "events.csv"
         subprocess.run([sys.executable, str(REPO / "scripts" / "make_synthetic.py"),
                         "--out", str(events), "--sessions", "60",
@@ -236,6 +251,37 @@ class TestTrain:
             str(out_dir / "train.jsonl"))]
         assert max(lengths) > 11
         assert main(train_args(out_dir, **{"--max-session-length": 10})) == 0
+
+    def test_overflowing_learning_rate_is_divergence(self, tmp_path, capsys):
+        # at --dim 8 the overflow is in the activations: tanh saturates it
+        # into finite weights and a model that scores every item alike
+        events = tmp_path / "events.csv"
+        subprocess.run([sys.executable, str(REPO / "scripts" / "make_synthetic.py"),
+                        "--out", str(events)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        out_dir = tmp_path / "out"
+        assert main(["preprocess", "--input", str(events),
+                     "--out-dir", str(out_dir)]) == 0
+        code = main(["train", "--train", str(out_dir / "train.jsonl"),
+                     "--model-out", str(out_dir / "model.bin"),
+                     "--lr", "1e30", "--max-epochs", "3", "--dim", "8"])
+        assert code == 3
+        assert "overflow in epoch 0" in capsys.readouterr().err
+        assert not (out_dir / "model.bin").exists()
+
+    def test_one_session_file_is_data_error(self, tmp_path, capsys):
+        write_sessions_jsonl(tmp_path / "train.jsonl", [["a", "b", "c"]])
+        assert main(train_args(tmp_path)) == 2
+        assert "cannot hold out 1 of 1 sessions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", sampling.STRATEGIES)
+    def test_one_item_session_is_dropped(self, tmp_path, strategy):
+        sessions = [[f"i{(k + j) % 8}" for j in range(3)] for k in range(40)]
+        write_sessions_jsonl(tmp_path / "train.jsonl", sessions + [["lonely"]])
+        assert main(train_args(tmp_path, **{"--strategy": strategy})) == 0
+        _, vocab = index.load_model(str(tmp_path / "model.bin"))
+        assert "lonely" not in vocab and len(vocab) == 8
 
     def test_invalid_flag_combination_is_usage_error(self, tmp_path, corpus_csv):
         out_dir = run_preprocess(tmp_path, corpus_csv)

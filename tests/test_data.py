@@ -248,6 +248,21 @@ class TestSessionsJsonl:
         with pytest.raises(data.EmptyDatasetError):
             data.dataset_from_sessions([("q", ["mystery"], [0])], ds.vocab)
 
+    def test_one_item_sessions_dropped_with_or_without_vocab(self, caplog):
+        rows = [("a", ["x", "y"], [0, 1]), ("b", ["z"], [2]), ("c", ["y", "x"], [3, 4])]
+        built = data.dataset_from_sessions(rows)
+        assert [s.session_id for s in built.sessions] == ["a", "c"]
+        assert built.vocab.ids == ["x", "y"]
+        assert built.vocab.counts == [2, 2]
+        mapped = data.dataset_from_sessions(rows + [("d", ["x"], [5])], built.vocab)
+        assert [s.session_id for s in mapped.sessions] == ["a", "c"]
+        assert "dropped 1 sessions with fewer than two items" in caplog.text
+        assert "dropped 2 sessions with fewer than two items" in caplog.text
+
+    def test_only_one_item_sessions_raise(self):
+        with pytest.raises(data.EmptyDatasetError):
+            data.dataset_from_sessions([("a", ["x"], [0]), ("b", ["y"], [1])])
+
     def test_bad_record_raises(self, tmp_path):
         path = tmp_path / "sessions.jsonl"
         path.write_text('{"id": "a", "items": ["x"]}\n')

@@ -98,8 +98,6 @@ class TestEncode:
         model = make_model()
         with pytest.raises(ValueError):
             encoders.encode_session(model, [])
-        with pytest.raises(ValueError):
-            encoders.encode_session(model, [0] * 7)
 
     def test_single_item_maxpool_equals_avgpool(self):
         mx = make_model(kind="MaxPool", seed=9)
@@ -171,9 +169,13 @@ class TestEncode:
                                    numpy_item_vectors(model, range(12)), atol=1e-6)
 
     def test_session_window_keeps_most_recent_items(self):
-        cfg = make_model(max_session_length=3).config
-        assert encoders.session_window(cfg, [9, 8, 7, 1, 2]) == [7, 1, 2]
-        assert encoders.session_window(cfg, [4, 5]) == [4, 5]
+        # a prefix longer than the window encodes equal to its window
+        for kind in KINDS:
+            model = make_model(kind=kind, max_session_length=3,
+                               conv_filter_sizes=(1, 2))
+            long = encoders.encode_session(model, [9, 8, 7, 1, 2])
+            np.testing.assert_array_equal(
+                long.values, encoders.encode_session(model, [7, 1, 2]).values)
 
 
 class TestScore:

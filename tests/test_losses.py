@@ -190,11 +190,6 @@ class TestNcas:
         with pytest.raises(ValueError):
             losses.ncas_from_distances(ad.Tape(), dists([0.1]), [False])
 
-    def test_rejects_duplicate_candidates(self):
-        model = make_model()
-        with pytest.raises(ValueError):
-            losses.ncas_loss(ad.Tape(), model, [0], [3, 3], [True, False])
-
     def test_model_first_direction_needs_smoothing(self):
         with pytest.raises(ValueError):
             losses.ncas_from_distances(ad.Tape(), dists([0.1, 0.5]),
@@ -213,6 +208,16 @@ class TestNcas:
         out = losses.ncas_from_distances(tape, dists(-np.log(target)), [True, False],
                                          epsilon=0.3, model_first=True)
         assert abs(float(out.values)) < 1e-6
+
+    def test_large_distances_give_finite_value_and_gradient(self):
+        for model_first in (False, True):
+            d = dists([1000.0, 999.0])
+            tape = ad.Tape()
+            out = losses.ncas_from_distances(tape, d, [True, False], epsilon=0.3,
+                                             model_first=model_first)
+            ad.backward(tape, out)
+            assert np.isfinite(float(out.values))
+            assert np.all(np.isfinite(d.grad))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 2), min_size=2, max_size=6),
@@ -274,6 +279,30 @@ def test_gru_tape_size_does_not_grow_with_prefix_length(kind):
         losses.session_loss(tape, model, list(range(length)), [11, 12], [13, 14], cfg)
         counts.add(len(tape.nodes))
     assert len(counts) == 1, sorted(counts)
+
+
+LOSS_CALLS = {
+    "bpr": lambda tape, d: losses.bpr_loss(tape, d[0], d[1]),
+    "top1": lambda tape, d: losses.top1_loss(tape, d[0], d[1]),
+    "contrastive_same": lambda tape, d: losses.contrastive_loss(tape, d[0], True),
+    "contrastive_different": lambda tape, d: losses.contrastive_loss(tape, d[0], False),
+    "triplet": lambda tape, d: losses.triplet_loss(tape, d[0], d[1]),
+    "triplet_no_margin": lambda tape, d: losses.triplet_loss(tape, d[0], d[1], margin=0.0),
+    "triplet_swap": lambda tape, d: losses.triplet_loss(tape, d[0], d[1], d[2],
+                                                        use_swap=True),
+    "ncas": lambda tape, d: losses.ncas_from_distances(tape, d[2], [True, False, True]),
+    "ncas_model_first": lambda tape, d: losses.ncas_from_distances(
+        tape, d[2], [True, False, True], model_first=True),
+}
+
+
+@pytest.mark.parametrize("name", LOSS_CALLS)
+def test_each_loss_adds_one_tape_node(name):
+    d = [dists([0.4, 1.1, 0.2]), dists([0.9, 0.3, 1.5]), dists([0.7, 0.6, 0.1])]
+    tape = ad.Tape()
+    out = LOSS_CALLS[name](tape, d)
+    assert len(tape.nodes) == 1
+    assert tape.nodes[0].output is out
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])

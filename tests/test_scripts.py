@@ -12,7 +12,7 @@ TINY = ["--sessions", "40", "--vocab", "12", "--dim", "8", "--max-epochs", "1"]
 
 
 @pytest.mark.parametrize("encoder", ["MaxPool", "GRU"])
-@pytest.mark.parametrize("script", ["run_overfit.py", "run_ablation.py"])
+@pytest.mark.parametrize("script", ["run_overfit.py"])
 def test_script_runs_to_completion(script, encoder):
     done = subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *TINY, "--encoder", encoder],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sml import losses, sampling, synth, trainer
+from sml import data, losses, sampling, synth, trainer
 from conftest import make_model
 from test_baselines import make_dataset
 
@@ -83,7 +83,7 @@ class TestSplitValidation:
 
     def test_single_session_cannot_split(self):
         corpus = make_dataset([[0, 1, 2]], vocab_size=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(data.EmptyDatasetError, match="hold out 1 of 1"):
             trainer.split_validation(corpus, 0.5)
 
 
@@ -149,7 +149,8 @@ class TestTrainLoop:
         result = trainer.train(corpus, model, sampler_cfg=sampler,
                                train_cfg=quick_cfg(max_epochs=2))
         assert all(np.isfinite(r.train_loss) for r in result.history)
-        assert max(len(p) for p in seen) == 4
+        # the encoder keeps each prefix's last 4 items itself
+        assert max(len(p) for p in seen) > 4
 
     def test_validation_sessions_never_reach_the_sampler(self, monkeypatch):
         corpus = small_corpus()
