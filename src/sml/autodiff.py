@@ -12,7 +12,7 @@ loss cost a handful of ops.  :func:`gru_sequence` records a whole
 recurrence as one node whose backward is a hand-written backpropagation
 through time, and :func:`fused` records one node for a function whose
 values and local derivatives the caller computed in numpy (each ranking
-loss is one).
+loss is one, and so is the mean loss of a training batch).
 
 Scalars are represented as 0-d arrays.  Training code runs in float32; the
 finite-difference checker :func:`grad_check` re-evaluates graphs in float64.
@@ -160,13 +160,6 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, "mul", (a, b), a.values * b.values, back)
 
 
-def scale(tape, x: Tensor, c: float) -> Tensor:
-    def back(g):
-        _accum(x, g * c)
-
-    return _result(tape, "scale", (x,), x.values * x.dtype.type(c), back)
-
-
 def sigmoid(tape, x: Tensor) -> Tensor:
     # tanh form avoids exp overflow for large |x|
     y = 0.5 * (1.0 + np.tanh(0.5 * x.values))
@@ -214,22 +207,6 @@ def fused(tape, op: str, inputs: Sequence[Tensor], values, slopes: Sequence) -> 
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
-
-def stack_scalars(tape, items: Sequence[Tensor]) -> Tensor:
-    if not items:
-        raise ValueError("stack_scalars: empty input")
-    for t in items:
-        if t.values.shape != ():
-            raise ValueError("stack_scalars expects scalar tensors")
-    items = tuple(items)
-
-    def back(g):
-        for i, t in enumerate(items):
-            _accum(t, g[i])
-
-    values = np.stack([t.values for t in items])
-    return _result(tape, "stack_scalars", items, values, back)
-
 
 def concat(tape, parts: Sequence[Tensor]) -> Tensor:
     if not parts:

@@ -2,8 +2,10 @@
 
 Every recommender returns a duplicate-free ranking of exactly ``n`` items
 (or the whole vocabulary when it is smaller), padding with global
-popularity where its own signal runs out.  All orderings break ties on
-ascending item index so results are reproducible down to the last position.
+popularity where its own signal runs out.  POP and the session KNNs rank
+with :func:`index.top_k`, ties to the lower item index; SPOP breaks count
+ties on recency and MARKOV-1 on the lower index, so results are
+reproducible down to the last position.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .data import Dataset
-
-
-def _popularity_order(counts: list[int]) -> list[int]:
-    return sorted(range(len(counts)), key=lambda i: (-counts[i], i))
+from .index import top_k
 
 
 def _fill_with_popularity(ranked: list[int], n: int, pop_order: list[int]) -> list[int]:
@@ -53,7 +54,7 @@ def fit_pop(train: Dataset) -> PopModel:
     for s in train.sessions:
         for item in s.items:
             counts[item] += 1
-    return PopModel(counts, _popularity_order(counts))
+    return PopModel(counts, top_k(counts, len(counts)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +126,33 @@ class SknnModel:
     :func:`linear_position_weight` it is VSKNN, in which recent prefix items
     count more.
     """
-    item_sets: list[frozenset]
-    by_item: dict[int, list[int]]       # item -> session positions
+    session_items: list[np.ndarray]     # session position -> its distinct items
+    item_sessions: list[np.ndarray]     # item -> positions of sessions holding it, ascending
     k: int
     pop: PopModel
     position_weight: Callable[[int, int], float] = constant_position_weight
+    norms: np.ndarray = field(init=False, repr=False)   # sqrt of each session's item count
+
+    def __post_init__(self):
+        self.norms = np.sqrt([len(items) for items in self.session_items], dtype=float)
+
+    def neighbours(self, weights: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Session positions and similarities of the k nearest overlapping
+        sessions, most similar first.
+
+        Only sessions sharing at least one query item can have non-zero
+        similarity, so scanning the inverted index is exact, not approximate.
+        """
+        query_norm = math.sqrt(sum(w * w for w in weights.values()))
+        if query_norm == 0.0:
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        overlap = np.zeros(len(self.session_items))
+        for item, w in weights.items():
+            overlap[self.item_sessions[item]] += w
+        positions = np.flatnonzero(overlap)
+        sims = overlap[positions] / (query_norm * self.norms[positions])
+        best = top_k(sims, self.k)
+        return positions[best], sims[best]
 
     def recommend(self, prefix, n: int) -> list[int]:
         """Score items by summed similarity of the neighbour sessions they occur in."""
@@ -140,11 +163,14 @@ class SknnModel:
         for pos, item in enumerate(prefix, start=1):
             weights[item] = max(weights.get(item, 0.0), self.position_weight(pos, length))
 
-        scores: dict[int, float] = defaultdict(float)
-        for sim, pos in _neighbours(self, weights):
-            for item in self.item_sets[pos]:
-                scores[item] += sim
-        ranked = sorted(scores, key=lambda i: (-scores[i], i))
+        positions, sims = self.neighbours(weights)
+        voters = [self.session_items[pos] for pos in positions]
+        # bincount adds in input order: each item sums its votes neighbour by neighbour
+        scores = np.bincount(np.concatenate([np.empty(0, dtype=np.intp), *voters]),
+                             np.repeat(sims, [len(items) for items in voters]),
+                             minlength=len(self.item_sessions))
+        voted = np.flatnonzero(scores)
+        ranked = voted[top_k(scores[voted], n)].tolist()
         return _fill_with_popularity(ranked, n, self.pop.order)
 
 
@@ -153,33 +179,11 @@ def fit_sknn(train: Dataset, k: int = 100,
              ) -> SknnModel:
     if k < 1:
         raise ValueError("k must be positive")
-    item_sets = [frozenset(s.items) for s in train.sessions]
-    by_item: dict[int, list[int]] = defaultdict(list)
-    for pos, items in enumerate(item_sets):
+    distinct = [sorted(set(s.items)) for s in train.sessions]
+    item_sessions: list[list[int]] = [[] for _ in range(len(train.vocab))]
+    for pos, items in enumerate(distinct):
         for item in items:
-            by_item[item].append(pos)
-    return SknnModel(item_sets, dict(by_item), k, fit_pop(train), position_weight)
-
-
-def _neighbours(model: SknnModel, weights: dict[int, float]) -> list[tuple[float, int]]:
-    """(similarity, session position) for the k nearest overlapping sessions.
-
-    Only sessions sharing at least one query item can have non-zero
-    similarity, so scanning the inverted index is exact, not approximate.
-    """
-    query_norm = math.sqrt(sum(w * w for w in weights.values()))
-    if query_norm == 0.0:
-        return []
-    candidates = set()
-    for item in weights:
-        candidates.update(model.by_item.get(item, ()))
-    scored = []
-    for pos in candidates:
-        items = model.item_sets[pos]
-        overlap = sum(weights[i] for i in weights.keys() & items)
-        if overlap <= 0.0:
-            continue
-        sim = overlap / (query_norm * math.sqrt(len(items)))
-        scored.append((sim, pos))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return scored[:model.k]
+            item_sessions[item].append(pos)
+    session_items = [np.array(items, dtype=np.intp) for items in distinct]
+    return SknnModel(session_items, [np.array(p, dtype=np.intp) for p in item_sessions],
+                     k, fit_pop(train), position_weight)

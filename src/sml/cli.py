@@ -1,7 +1,8 @@
 """Command-line pipeline: preprocess, stats, train, evaluate, recommend.
 
-Exit codes: 0 success, 1 usage problems, 2 unusable data or artifacts,
-3 numeric divergence during training.  Every flag default is visible in
+Exit codes: 0 success, 1 usage problems, 2 unusable data or artifacts
+(a model whose finite weights overflow when scoring included), 3 numeric
+divergence during training.  Every flag default is visible in
 ``--help``.  The ``train`` defaults are those of the config dataclasses its
 flags fill; its seed, the only one any subcommand reads, defaults to
 ``SML_SEED``.
@@ -15,6 +16,8 @@ import json
 import logging
 import os
 import sys
+
+import numpy as np
 
 from . import baselines, data, evaluation, index, losses, sampling, trainer
 from .encoders import ENCODER_KINDS, ModelConfig, build_model
@@ -344,7 +347,15 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     try:
-        return COMMANDS[args.command](args)
+        # training turns its own overflow into a DivergenceError; anywhere
+        # else it can only come from a loaded model too large to score with
+        with np.errstate(over="raise", invalid="raise"):
+            return COMMANDS[args.command](args)
+    except FloatingPointError as exc:
+        model = getattr(args, "model", None) or getattr(args, "method", args.command)
+        print(f"error: {model}: numeric overflow while scoring ({exc}); the "
+              "model's weights are too large", file=sys.stderr)
+        return EXIT_DATA
     except trainer.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

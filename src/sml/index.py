@@ -5,8 +5,9 @@ The index is the matrix of item encodings built by
 training compares sessions with.  A query is scored against every row with
 one matrix-vector product: under the shared-space scoring rule, similarity
 = 1 - cosine distance = dot product of the encoded vectors, so retrieval is
-exact, not approximate.  Ranking ties break on ascending item index via a
-stable sort.
+exact, not approximate.  :func:`top_k` is the one ranking rule of the
+package: score descending, ties to the lower index.  The index, POP, the
+session KNNs and the kNN positive augmentation rank through it.
 
 Models are persisted in a small versioned binary container: a magic tag,
 a JSON header carrying the encoder configuration and the item vocabulary,
@@ -44,6 +45,25 @@ class ModelFormatError(DataError):
 # retrieval
 # ---------------------------------------------------------------------------
 
+def top_k(scores, k: int) -> np.ndarray:
+    """Positions of the ``k`` highest scores, best first, ties to the lower
+    position.
+
+    The k-th value comes from a partition; every entry at or above it is
+    kept and sorted by (score descending, position), so the result is exact
+    with ties, for integer and float scores alike.  Scores must be NaN-free.
+    """
+    scores = np.asarray(scores)
+    k = min(k, scores.size)
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    keep = np.flatnonzero(scores >= kth)
+    # ascending (score, -position), reversed: no score is ever negated
+    order = np.lexsort((-keep, scores[keep]))[::-1]
+    return keep[order[:k]]
+
+
 @dataclass
 class ItemIndex:
     vectors: np.ndarray  # (items, dim) float32, row i = encoding of item i
@@ -74,8 +94,7 @@ class ItemIndex:
         if n < 1:
             raise ValueError("n must be positive")
         scores = self.scores(query)
-        order = np.argsort(-scores, kind="stable")  # stable => index-ascending ties
-        return [(int(i), float(scores[i])) for i in order[:n]]
+        return [(int(i), float(scores[i])) for i in top_k(scores, n)]
 
 
 @dataclass

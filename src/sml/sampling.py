@@ -15,6 +15,7 @@ import numpy as np
 
 from . import encoders
 from .data import Dataset
+from .index import top_k
 
 STRATEGIES = ("posneg", "sliding_window")
 
@@ -121,39 +122,28 @@ def sliding_window_examples(items: list[int], window_size: int,
     return pairs
 
 
-def knn_augment_positives(prefix, positives, model: encoders.Model, k: int,
-                          needed: int, item_matrix: np.ndarray | None = None) -> list[int]:
+def knn_augment_positives(prefix, positives, item_matrix: np.ndarray, k: int,
+                          needed: int) -> list[int]:
     """Items nearest to the current positives, to top the list up to ``needed``.
 
-    Candidates come from the k nearest neighbours of each positive in the
-    current item embedding space, ranked by their closest positive; prefix
-    items and existing positives are never suggested.
+    Candidates are the k nearest items of each positive in the rows of
+    ``item_matrix`` (the current item embeddings), ranked by their closest
+    positive, ties to the lower index; prefix items and existing positives
+    are never suggested.
     """
     missing = needed - len(positives)
     if missing <= 0:
         return []
-    if item_matrix is None:
-        item_matrix = encoders.item_embedding_matrix(model)
-    banned = set(prefix) | set(positives)
-
-    best: dict[int, float] = {}
+    banned = list(set(prefix) | set(positives))
+    k = min(k, len(item_matrix) - len(banned))
+    best = np.full(len(item_matrix), np.inf, dtype=item_matrix.dtype)
     for p in set(positives):
         dists = 1.0 - item_matrix @ item_matrix[p]
-        order = np.argsort(dists, kind="stable")
-        found = 0
-        for idx in order:
-            idx = int(idx)
-            if idx in banned:
-                continue
-            d = float(dists[idx])
-            if idx not in best or d < best[idx]:
-                best[idx] = d
-            found += 1
-            if found == k:
-                break
-
-    ranked = sorted(best.items(), key=lambda kv: (kv[1], kv[0]))
-    return [idx for idx, _ in ranked[:missing]]
+        dists[banned] = np.inf
+        near = top_k(-dists, k)
+        best[near] = np.minimum(best[near], dists[near])
+    found = np.flatnonzero(best < np.inf)
+    return found[top_k(-best[found], missing)].tolist()
 
 
 def build_epoch(train: Dataset, cfg: SamplerConfig, epoch: int,
@@ -176,8 +166,8 @@ def build_epoch(train: Dataset, cfg: SamplerConfig, epoch: int,
         for prefix, positives in pairs:
             if cfg.knn_augment and len(positives) < cfg.samples_per_session:
                 positives = positives + knn_augment_positives(
-                    prefix, positives, model, cfg.knn_k,
-                    cfg.samples_per_session, item_matrix)
+                    prefix, positives, item_matrix, cfg.knn_k,
+                    cfg.samples_per_session)
             banned = set(prefix) if cfg.exclude_prefix_negatives else set()
             excluded = banned | set(positives)
             # a vocabulary too small to give every positive its own negative

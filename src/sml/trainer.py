@@ -94,11 +94,6 @@ def validate(model: Model, val_sessions: Dataset, n: int = 20) -> float:
     return evaluation.evaluate(recommender, val_sessions, n=n).recall
 
 
-def _mean_loss(tape: ad.Tape, terms: list[ad.Tensor]) -> ad.Tensor:
-    total = ad.reduce_sum(tape, ad.stack_scalars(tape, terms))
-    return ad.scale(tape, total, 1.0 / len(terms))
-
-
 def _snapshot(model: Model) -> dict[str, np.ndarray]:
     return {name: t.values.copy() for name, t in model.params.items()}
 
@@ -147,7 +142,10 @@ def train(train_data: Dataset, model: Model,
                     terms = [losses.session_loss(tape, model, ex.prefix, ex.positives,
                                                  ex.negatives, loss_cfg)
                              for ex in batch]
-                    batch_loss = _mean_loss(tape, terms)
+                    inv = terms[0].dtype.type(1.0 / len(terms))
+                    batch_loss = ad.fused(tape, "mean", terms,
+                                          np.stack([t.values for t in terms]).sum() * inv,
+                                          [inv] * len(terms))
                     if not np.isfinite(batch_loss.values):
                         raise DivergenceError(f"non-finite loss in {where}")
                     ad.backward(tape, batch_loss)
@@ -159,17 +157,15 @@ def train(train_data: Dataset, model: Model,
                 val_rec = validate(model, val_data, n=train_cfg.eval_n)
                 result.history.append(EpochRecord(epoch, train_loss, val_rec, lr))
 
+                # schedule: compare against the best score seen BEFORE this epoch
+                improved_enough = (
+                    result.best_epoch < 0
+                    or val_rec > result.best_val * (1.0 + train_cfg.improvement_threshold))
                 if val_rec > result.best_val or result.best_epoch < 0:
                     result.best_val = val_rec
                     result.best_epoch = epoch
                     best_arrays = _snapshot(model)
 
-                # schedule: compare against the best score seen BEFORE this epoch
-                prior_best = max((r.val_recall for r in result.history[:-1]),
-                                 default=None)
-                improved_enough = (
-                    prior_best is None
-                    or val_rec > prior_best * (1.0 + train_cfg.improvement_threshold))
                 if not improved_enough:
                     lr *= train_cfg.lr_decay_factor
                     reductions += 1

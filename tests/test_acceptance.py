@@ -229,12 +229,10 @@ def _ncas_units(model_first):
         flags = [bool(f) for f in rng.integers(0, 2, size=count)]
         if not any(flags):
             flags[0] = True
-        params = {f"d{i}": np.array(_rand_distance(rng))
-                  for i in range(count)}
+        params = {"d": np.array([_rand_distance(rng) for _ in range(count)])}
 
         def build(tape, ts):
-            dists = ad.stack_scalars(tape, [ts[f"d{i}"] for i in range(count)])
-            return losses.ncas_from_distances(tape, dists, flags,
+            return losses.ncas_from_distances(tape, ts["d"], flags,
                                               epsilon=0.3,
                                               model_first=model_first)
 

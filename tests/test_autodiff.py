@@ -171,7 +171,7 @@ class TestTapeMechanics:
     def test_backward_rejects_non_scalar(self):
         x = ad.parameter(np.ones(3))
         tape = ad.Tape()
-        y = ad.scale(tape, x, 2.0)
+        y = ad.mul(tape, x, x)
         with pytest.raises(ValueError):
             ad.backward(tape, y)
 
@@ -186,8 +186,8 @@ class TestTapeMechanics:
     def test_reverse_record_order(self):
         x = scalar_param(0.5)
         tape = ad.Tape()
-        y = ad.sigmoid(tape, ad.scale(tape, x, 3.0))
-        assert [n.op for n in tape.nodes] == ["scale", "sigmoid"]
+        y = ad.sigmoid(tape, ad.mul(tape, x, ad.constant(np.float64(3.0))))
+        assert [n.op for n in tape.nodes] == ["mul", "sigmoid"]
         ad.backward(tape, y)
         s = 1.0 / (1.0 + np.exp(-1.5))
         np.testing.assert_allclose(float(x.grad), 3.0 * s * (1 - s), rtol=1e-12)
@@ -197,7 +197,7 @@ class TestTapeMechanics:
         b = scalar_param(5.0)
         t1, t2 = ad.Tape(), ad.Tape()
         ya = ad.mul(t1, a, a)
-        yb = ad.scale(t2, b, 4.0)
+        yb = ad.mul(t2, b, ad.constant(np.float64(4.0)))
         ad.backward(t2, yb)
         ad.backward(t1, ya)
         assert float(a.grad) == 4.0
@@ -438,7 +438,8 @@ class TestGradientOracle:
 
         def build(tape, ts):
             s = ad.sigmoid(tape, ad.sub(tape, ts["a"], ts["b"]))
-            return ad.scale(tape, ad.mul(tape, s, ad.add(tape, s, ts["b"])), -1.0)
+            return ad.mul(tape, ad.mul(tape, s, ad.add(tape, s, ts["b"])),
+                          ad.constant(np.float64(-1.0)))
 
         assert ad.grad_check(build, params) < 1e-3
 
@@ -593,19 +594,6 @@ class TestFusedGru:
             ad.gru_sequence(None, ad.constant(np.zeros((0, 4))), _gru_params(ts), ts["h0"])
         with pytest.raises(ValueError, match="h0"):
             ad.gru_sequence(None, ts["x"], _gru_params(ts), ad.constant(np.zeros(3)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-3, 3), min_size=2, max_size=6))
-def test_stack_scalars_roundtrip(values):
-    tensors = [ad.parameter(np.float64(v)) for v in values]
-    tape = ad.Tape()
-    vec = ad.stack_scalars(tape, tensors)
-    np.testing.assert_allclose(vec.values, values)
-    loss = ad.reduce_sum(tape, ad.mul(tape, vec, vec))
-    ad.backward(tape, loss)
-    for v, t in zip(values, tensors):
-        np.testing.assert_allclose(float(t.grad), 2 * v, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sml import baselines, data
 
@@ -129,11 +131,8 @@ class TestSknn:
         model = baselines.fit_sknn(train, k=3)
         prefix = [2, 3]
         want = brute_force_sknn(CORPUS, prefix, k=3)
-        got = {pos: sim for sim, pos in baselines._neighbours(
-            model, {2: 1.0, 3: 1.0})}
-        assert got.keys() == want.keys()
-        for pos in want:
-            assert got[pos] == pytest.approx(want[pos], abs=1e-12)
+        positions, sims = model.neighbours({2: 1.0, 3: 1.0})
+        assert dict(zip(positions.tolist(), sims.tolist())) == want
 
 
 def fit_vsknn(train, k):
@@ -183,14 +182,26 @@ def all_prefixes(corpus):
 
 
 def brute_force_sknn(corpus, prefix, k):
+    # cosine = overlap over the product of the two set norms, rounded as the
+    # model rounds it, so tied item votes compare exactly
     query = set(prefix)
     sims = {}
     for pos, sess in enumerate(corpus):
         overlap = len(query & set(sess))
         if overlap:
-            sims[pos] = overlap / math.sqrt(len(query) * len(set(sess)))
+            sims[pos] = overlap / (math.sqrt(len(query)) * math.sqrt(len(set(sess))))
     keep = sorted(sims, key=lambda p: (-sims[p], p))[:k]
     return {pos: sims[pos] for pos in keep}
+
+
+def brute_force_sknn_ranking(corpus, prefix, k, pop_order, n):
+    scores = Counter()
+    for pos, sim in brute_force_sknn(corpus, prefix, k).items():
+        for item in set(corpus[pos]):
+            scores[item] += sim
+    ranked = sorted(scores, key=lambda i: (-scores[i], i))
+    ranked += [item for item in pop_order if item not in scores]
+    return ranked[:n]
 
 
 def brute_force_vsknn(corpus, prefix, k, pop_order, n):
@@ -228,16 +239,27 @@ class TestBruteForceAgreement:
         model = baselines.fit_sknn(train, k=k)
         for prefix in all_prefixes(CORPUS):
             got = model.recommend(prefix, 8)
-            want_sims = brute_force_sknn(CORPUS, prefix, k)
-            scores = Counter()
-            for pos, sim in want_sims.items():
-                for item in set(CORPUS[pos]):
-                    scores[item] += sim
-            ranked = sorted(scores, key=lambda i: (-scores[i], i))
-            for item in [2, 3, 0, 1, 4, 5, 6, 7]:
-                if item not in ranked:
-                    ranked.append(item)
-            assert got == ranked[:8], prefix
+            want = brute_force_sknn_ranking(CORPUS, prefix, k,
+                                            pop_order=[2, 3, 0, 1, 4, 5, 6, 7], n=8)
+            assert got == want, prefix
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_sknn_random_corpora(self, vocab, draw):
+        # a small vocabulary makes shared items, tied similarities and tied
+        # item votes common; constant weights keep every sum exact
+        items = st.integers(0, vocab - 1)
+        corpus = draw.draw(st.lists(st.lists(items, min_size=1, max_size=8),
+                                    min_size=1, max_size=12))
+        prefix = draw.draw(st.lists(items, min_size=1, max_size=6))
+        k = draw.draw(st.integers(1, 14))
+        model = baselines.fit_sknn(make_dataset(corpus, vocab_size=vocab), k=k)
+        positions, sims = model.neighbours({item: 1.0 for item in prefix})
+        want = brute_force_sknn(corpus, prefix, k)
+        assert positions.tolist() == list(want)
+        assert sims.tolist() == list(want.values())
+        assert model.recommend(prefix, vocab) == brute_force_sknn_ranking(
+            corpus, prefix, k, model.pop.order, vocab)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_vsknn_all_prefixes(self, train, k):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -317,6 +318,13 @@ class TestTrain:
         assert not (out_dir / "model.bin").exists()
 
 
+def scale_model_weights(model_path, factor):
+    model, vocab = index.load_model(str(model_path))
+    for _, tensor in model.params.items():
+        tensor.values *= np.float32(factor)
+    index.save_model(model, vocab, str(model_path))
+
+
 class TestEvaluate:
     def test_baseline_requires_train_flag(self, tmp_path, corpus_csv):
         out_dir = run_preprocess(tmp_path, corpus_csv)
@@ -376,6 +384,17 @@ class TestEvaluate:
         report = json.loads(report_path.read_text())
         assert report["points"] >= 1
         assert 0.0 <= report["recall"] <= 1.0
+
+    def test_overflowing_model_is_data_error(self, tmp_path, corpus_csv, capsys):
+        out_dir = run_preprocess(tmp_path, corpus_csv)
+        assert main(train_args(out_dir)) == 0
+        model_path = out_dir / "model.bin"
+        scale_model_weights(model_path, 1e30)
+        capsys.readouterr()
+        code = main(["evaluate", "--method", f"SML:{model_path}",
+                     "--test", str(out_dir / "test.jsonl")])
+        assert code == 2
+        assert str(model_path) in capsys.readouterr().err
 
     def test_report_bytes_are_reproducible(self, tmp_path, corpus_csv):
         out_dir = run_preprocess(tmp_path, corpus_csv)
@@ -451,6 +470,17 @@ class TestRecommend:
         assert main(["recommend", "--model", str(model_path),
                      "--items", "i0"]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_model_is_data_error(self, tmp_path, corpus_csv, capsys):
+        # finite weights pass the load check but overflow when scoring
+        model_path = self._trained(tmp_path, corpus_csv)
+        scale_model_weights(model_path, 1e30)
+        capsys.readouterr()
+        assert main(["recommend", "--model", str(model_path),
+                     "--items", "i0,i1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(model_path) in captured.err and "overflow" in captured.err
 
     def test_empty_items_is_usage_error(self, tmp_path, corpus_csv):
         model_path = self._trained(tmp_path, corpus_csv)

@@ -19,6 +19,27 @@ def make_vocab(size):
     return vocab
 
 
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([np.int64, np.float32, np.float64]),
+           st.lists(st.integers(-3, 3), max_size=40), st.data())
+    def test_matches_stable_argsort(self, dtype, values, draw):
+        # seven distinct values over up to 40 entries force ties
+        scores = np.array(values, dtype=dtype)
+        k = draw.draw(st.integers(0, len(values) + 2))
+        want = np.argsort(-scores, kind="stable")[:k]
+        got = index.top_k(scores, k)
+        assert got.tolist() == want.tolist()
+
+    def test_ties_across_the_cut_go_to_the_lower_position(self):
+        assert index.top_k([1.0, 2.0, 1.0, 2.0, 1.0], 3).tolist() == [1, 3, 0]
+
+    def test_extreme_integers_are_not_negated(self):
+        low = np.iinfo(np.int64).min
+        assert index.top_k(np.array([low, 0, low], dtype=np.int64), 3).tolist() == [1, 0, 2]
+        assert index.top_k(np.array([0, 255, 1], dtype=np.uint8), 2).tolist() == [1, 2]
+
+
 class TestItemIndex:
     def test_rows_are_unit_norm(self):
         idx = index.ItemIndex.from_model(make_model(vocab=20, dim=8, seed=1))

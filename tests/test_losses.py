@@ -154,8 +154,9 @@ class TestPositionWeights:
         tape = ad.Tape()
         t0 = losses.triplet_loss(tape, dist(0.1), dist(0.8), margin=0.3)
         t1 = losses.triplet_loss(tape, dist(0.9), dist(0.3), margin=0.3)
-        total = ad.add(tape, ad.scale(tape, t0, losses.position_weight(0)),
-                       ad.scale(tape, t1, losses.position_weight(1)))
+        w0, w1 = (ad.constant(np.asarray(losses.position_weight(i), dtype=t0.dtype))
+                  for i in (0, 1))
+        total = ad.add(tape, ad.mul(tape, t0, w0), ad.mul(tape, t1, w1))
         np.testing.assert_allclose(float(total.values), math.sqrt(0.5) * 0.9,
                                    atol=1e-12)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sml import data, sampling
+from sml import data, encoders, sampling
 
 from conftest import make_model
 
@@ -129,33 +129,64 @@ class TestSlidingWindow:
             assert 1 <= len(prefix) <= window
 
 
+def item_matrix(vocab, dim, seed=0):
+    return encoders.item_embedding_matrix(make_model(vocab=vocab, dim=dim, seed=seed))
+
+
 class TestKnnAugment:
     def test_brute_force_three_item_vocab(self):
-        model = make_model(vocab=3, dim=4, seed=1)
-        from sml import encoders
-        matrix = encoders.item_embedding_matrix(model)
+        matrix = item_matrix(vocab=3, dim=4, seed=1)
         dists = 1.0 - matrix @ matrix[0]
         nearer = min((d, i) for i, d in enumerate(dists) if i != 0)[1]
-        extra = sampling.knn_augment_positives([], [0], model, k=3, needed=2)
+        extra = sampling.knn_augment_positives([], [0], matrix, k=3, needed=2)
         assert extra == [nearer]
 
     def test_never_prefix_or_existing(self):
-        model = make_model(vocab=12, dim=4, seed=2)
         prefix, positives = [1, 2, 3], [4, 5]
-        extra = sampling.knn_augment_positives(prefix, positives, model, k=12,
-                                               needed=8)
+        extra = sampling.knn_augment_positives(
+            prefix, positives, item_matrix(vocab=12, dim=4, seed=2), k=12, needed=8)
         assert not set(extra) & set(prefix)
         assert not set(extra) & set(positives)
         assert len(extra) == len(set(extra)) == 6
 
     def test_candidates_can_run_out(self):
-        model = make_model(vocab=4, dim=4)
-        extra = sampling.knn_augment_positives([0, 1], [2], model, k=4, needed=8)
+        extra = sampling.knn_augment_positives(
+            [0, 1], [2], item_matrix(vocab=4, dim=4), k=4, needed=8)
         assert extra == [3]
 
     def test_noop_when_enough(self):
-        model = make_model(vocab=6, dim=4)
-        assert sampling.knn_augment_positives([0], [1, 2], model, 3, needed=2) == []
+        assert sampling.knn_augment_positives(
+            [0], [1, 2], item_matrix(vocab=6, dim=4), 3, needed=2) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_matches_brute_force_with_ties(self, vocab, draw):
+        # rows on a coarse grid make many distances tie exactly
+        rows = draw.draw(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                           min_size=3, max_size=3),
+                                  min_size=vocab, max_size=vocab))
+        matrix = np.array(rows, dtype=np.float32)
+        items = st.integers(0, vocab - 1)
+        positives = draw.draw(st.lists(items, min_size=1, max_size=4))
+        prefix = draw.draw(st.lists(items, max_size=4))
+        k = draw.draw(st.integers(1, vocab + 2))
+        needed = draw.draw(st.integers(1, vocab + 2))
+        got = sampling.knn_augment_positives(prefix, positives, matrix, k, needed)
+        assert got == brute_force_knn_augment(prefix, positives, matrix, k, needed)
+
+
+def brute_force_knn_augment(prefix, positives, matrix, k, needed):
+    """Each positive's k nearest allowed items by a full sort, then every
+    candidate by its closest positive; ties to the lower index throughout."""
+    banned = set(prefix) | set(positives)
+    best = {}
+    for p in positives:
+        dists = [float(d) for d in 1.0 - matrix @ matrix[p]]
+        allowed = sorted((d, i) for i, d in enumerate(dists) if i not in banned)
+        for d, i in allowed[:k]:
+            best[i] = min(d, best.get(i, d))
+    ranked = sorted((d, i) for i, d in best.items())
+    return [i for _, i in ranked[:max(0, needed - len(positives))]]
 
 
 class TestBuildEpoch:
