@@ -3,19 +3,14 @@
 A ``Tape`` records every differentiable operation in execution order; calling
 :func:`backward` replays the records in exact reverse order, accumulating
 gradients with ``+=`` so fan-out is handled naturally.  Only the operations
-needed by the session/item encoders and ranking losses are provided.  The
-elementwise ops take operands of one shape; the only broadcasts are bias
-addition in :func:`dense` and rows against a vector in
-:func:`cosine_distance`.  Matrix inputs to :func:`l2_normalize` and
-:func:`cosine_distance` are taken row by row, so a batch of items and its
-loss cost a handful of ops.  :func:`gru_sequence` records a whole
-recurrence as one node whose backward is a hand-written backpropagation
-through time, and :func:`fused` records one node for a function whose
-values and local derivatives the caller computed in numpy (each ranking
-loss is one, and so is the mean loss of a training batch).
-
-Scalars are represented as 0-d arrays.  Training code runs in float32; the
-finite-difference checker :func:`grad_check` re-evaluates graphs in float64.
+the encoders and ranking losses need are provided, and training records one
+graph per mini-batch: the sequence ops take a padded ``[B, T, d]`` batch
+with one length per sequence, while a 2-d input still means one sequence,
+computed exactly as before (what serving uses).  :func:`gru_sequence` is
+one node with a hand-written backpropagation through time, and
+:func:`fused` records one node for a function whose values and local
+derivatives the caller computed in numpy (each batch's ranking loss is
+one).  Scalars are 0-d arrays; training runs in float32.
 """
 
 from __future__ import annotations
@@ -95,9 +90,10 @@ class Tape:
 def _accum(tensor: Tensor, grad: np.ndarray) -> None:
     if not tensor.requires_grad:
         return
-    if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.values)
-    tensor.grad += grad
+    if tensor.grad is None:  # a fresh buffer: ``grad`` may be a view
+        tensor.grad = np.array(np.broadcast_to(grad, tensor.shape), dtype=tensor.dtype)
+    else:
+        tensor.grad += grad
 
 
 def _result(tape: Tape | None, op: str, inputs: Sequence[Tensor], values: np.ndarray,
@@ -126,75 +122,24 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-# ---------------------------------------------------------------------------
-# elementwise / scalar ops
-# ---------------------------------------------------------------------------
-
-def add(tape, a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("add", a, b)
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result(tape, "add", (a, b), a.values + b.values, back)
-
-
-def sub(tape, a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _result(tape, "sub", (a, b), a.values - b.values, back)
-
-
-def mul(tape, a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("mul", a, b)
-
-    def back(g):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
-
-    return _result(tape, "mul", (a, b), a.values * b.values, back)
-
-
-def sigmoid(tape, x: Tensor) -> Tensor:
-    # tanh form avoids exp overflow for large |x|
-    y = 0.5 * (1.0 + np.tanh(0.5 * x.values))
-
-    def back(g):
-        _accum(x, g * y * (1.0 - y))
-
-    return _result(tape, "sigmoid", (x,), y.astype(x.dtype), back)
-
-
-def reduce_sum(tape, x: Tensor) -> Tensor:
-    def back(g):
-        _accum(x, np.full_like(x.values, g))
-
-    return _result(tape, "reduce_sum", (x,), x.values.sum(), back)
-
-
 def fused(tape, op: str, inputs: Sequence[Tensor], values, slopes: Sequence) -> Tensor:
     """One node for a function whose values and local derivatives the caller
-    computed.
+    computed, cast to the first input's dtype.
 
-    The inputs share one shape, and ``values`` has that shape (an
-    elementwise function: entry k reads entry k of each input) or is a
-    scalar.  ``slopes[i]`` has the inputs' shape and holds
-    d values[k] / d inputs[i][k], or d values / d inputs[i][k] for a scalar,
-    so either way the backward multiplies the incoming gradient by each
-    slope.  Values and slopes are cast to the first input's dtype.
+    Either ``values`` is a scalar and ``slopes[i]``, shaped like
+    ``inputs[i]``, holds d values / d inputs[i][k]; or the inputs and
+    ``values`` share one shape (entry k reads entry k of each input) and
+    ``slopes[i]`` holds d values[k] / d inputs[i][k].
     """
     inputs = tuple(inputs)
-    for t in inputs[1:]:
-        _require_same_shape(op, inputs[0], t)
-    shape, dtype = inputs[0].shape, inputs[0].dtype
+    dtype = inputs[0].dtype
     values = np.asarray(values, dtype=dtype)
     slopes = [np.asarray(s, dtype=dtype) for s in slopes]
-    if values.shape not in ((), shape) or [s.shape for s in slopes] != [shape] * len(inputs):
+    if values.shape != ():
+        for t in inputs[1:]:
+            _require_same_shape(op, inputs[0], t)
+    if (values.shape not in ((), inputs[0].shape)
+            or [s.shape for s in slopes] != [t.shape for t in inputs]):
         raise ValueError(f"{op}: values or slopes do not match the inputs' shape")
 
     def back(g):
@@ -204,69 +149,54 @@ def fused(tape, op: str, inputs: Sequence[Tensor], values, slopes: Sequence) -> 
     return _result(tape, op, inputs, values, back)
 
 
-# ---------------------------------------------------------------------------
-# shape ops
-# ---------------------------------------------------------------------------
-
 def concat(tape, parts: Sequence[Tensor]) -> Tensor:
+    """Join along the last axis; the parts agree on every other axis."""
     if not parts:
         raise ValueError("concat: empty input")
-    for t in parts:
-        if t.ndim != 1:
-            raise ValueError("concat expects 1-d inputs")
     parts = tuple(parts)
-    sizes = [t.shape[0] for t in parts]
+    if any(t.ndim < 1 or t.shape[:-1] != parts[0].shape[:-1] for t in parts):
+        raise ValueError("concat: parts must agree on every axis but the last")
+    sizes = [t.shape[-1] for t in parts]
 
     def back(g):
         off = 0
         for t, size in zip(parts, sizes):
-            _accum(t, g[off:off + size])
+            _accum(t, g[..., off:off + size])
             off += size
 
-    return _result(tape, "concat", parts, np.concatenate([t.values for t in parts]), back)
-
-
-def pad_rows(tape, x: Tensor, total_rows: int) -> Tensor:
-    """Append zero rows so the result has exactly ``total_rows`` rows."""
-    if x.ndim != 2:
-        raise ValueError("pad_rows expects a 2-d input")
-    t = x.shape[0]
-    if total_rows < t:
-        raise ValueError(f"pad_rows: total_rows {total_rows} < current rows {t}")
-
-    def back(g):
-        _accum(x, g[:t])
-
-    values = np.zeros((total_rows, x.shape[1]), dtype=x.dtype)
-    values[:t] = x.values
-    return _result(tape, "pad_rows", (x,), values, back)
+    values = np.concatenate([t.values for t in parts], axis=-1)
+    return _result(tape, "concat", parts, values, back)
 
 
 # ---------------------------------------------------------------------------
 # table / sequence ops
 # ---------------------------------------------------------------------------
 
-def embedding_lookup(tape, table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Gather along axis 0: rows of a matrix, or entries of a vector.
-
-    Backward scatter-adds into the table grad, so a repeated index receives
-    the sum of its gradients.
-    """
+def embedding_lookup(tape, table: Tensor, indices) -> Tensor:
+    """Gather rows of a matrix, or entries of a vector, for an index array
+    of any shape.  An index of -1 is padding: it gathers zeros and receives
+    no gradient.  A repeated index receives the sum of its gradients."""
     if table.ndim not in (1, 2):
         raise ValueError("embedding_lookup expects a 1-d or 2-d table")
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("embedding_lookup expects a 1-d index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    lowest = idx.min(initial=0)
+    if lowest < -1 or idx.max(initial=-1) >= table.shape[0]:
         raise IndexError("embedding_lookup: index out of range")
+    values = table.values[idx]  # fancy indexing copies; -1 reads the last row
+    if lowest < 0:
+        values[idx < 0] = 0
 
     def back(g):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.values)
-            np.add.at(table.grad, idx, g)
+            keep = idx >= 0
+            # numpy's unbuffered scatter-add is far faster on a flat index
+            width = table.values[0].size
+            flat = (idx[keep][:, None] * width + np.arange(width)).ravel()
+            np.add.at(table.grad.reshape(-1), flat, g[keep].reshape(-1))
 
-    return _result(tape, "embedding_lookup", (table,), table.values[idx].copy(), back)
+    return _result(tape, "embedding_lookup", (table,), values, back)
 
 
 def dense(tape, x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -314,37 +244,44 @@ def dense(tape, x: Tensor, w: Tensor, b: Tensor | None = None,
     return _result(tape, "dense", inputs, values, back)
 
 
-def seq_pool(tape, x: Tensor, mode: str, mask_length: int) -> Tensor:
-    """Column-wise max or mean over the first ``mask_length`` rows.
+def seq_pool(tape, x: Tensor, mode: str, lengths) -> Tensor:
+    """Column-wise max or mean over the leading rows of each sequence.
 
-    Max routes the gradient to the first row attaining the maximum in each
-    column; mean spreads it uniformly over the unmasked rows.
+    ``x`` is one sequence ``[T, d]`` pooled over its first ``lengths`` rows
+    (an int), or a batch ``[B, T, d]`` with one length per sequence.  Max
+    routes the gradient to the first row attaining the maximum in each
+    column; mean spreads it uniformly over the pooled rows.
     """
-    if x.ndim != 2:
-        raise ValueError("seq_pool expects a 2-d input")
+    if x.ndim not in (2, 3):
+        raise ValueError("seq_pool expects a 2-d or 3-d input")
     if mode not in ("max", "mean"):
         raise ValueError(f"seq_pool: unknown mode {mode!r}")
-    if not 1 <= mask_length <= x.shape[0]:
-        raise ValueError(f"seq_pool: mask_length {mask_length} out of range for {x.shape}")
-
-    window = x.values[:mask_length]
-    if mode == "max":
-        arg = window.argmax(axis=0)  # first occurrence on ties
-        values = window.max(axis=0)
-
-        def back(g):
-            if x.requires_grad:
-                buf = np.zeros_like(x.values)
-                np.add.at(buf, (arg, np.arange(x.shape[1])), g)
-                _accum(x, buf)
+    batched = x.ndim == 3
+    if batched:
+        lengths = np.asarray(lengths)
+        bad = lengths.shape != x.shape[:1] or np.any((lengths < 1) | (lengths > x.shape[1]))
     else:
-        values = window.mean(axis=0)
+        bad = not 1 <= lengths <= x.shape[0]
+    if bad:
+        raise ValueError(f"seq_pool: lengths {lengths} out of range for {x.shape}")
+    count = lengths[:, None].astype(x.dtype) if batched else x.dtype.type(lengths)
+
+    def live():  # [T, 1] or [B, T, 1]: which rows are pooled
+        return np.arange(x.shape[-2])[:, None] < np.asarray(count)[..., None]
+
+    fill = -np.inf if mode == "max" else 0
+    window = np.where(live(), x.values, fill) if batched else x.values[:lengths]
+    if mode == "max":
+        values = window.max(axis=-2)
 
         def back(g):
-            if x.requires_grad:
-                buf = np.zeros_like(x.values)
-                buf[:mask_length] = g / x.dtype.type(mask_length)
-                _accum(x, buf)
+            arg = window.argmax(axis=-2)[..., None, :]  # first occurrence on ties
+            _accum(x, (np.arange(x.shape[-2])[:, None] == arg) * g[..., None, :])
+    else:
+        values = window.sum(axis=-2) / count
+
+        def back(g):
+            _accum(x, live() * (g / count)[..., None, :])
 
     return _result(tape, "seq_pool", (x,), values, back)
 
@@ -352,37 +289,39 @@ def seq_pool(tape, x: Tensor, mode: str, mask_length: int) -> Tensor:
 def conv1d(tape, x: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
     """Valid (no padding) 1-d convolution over the row axis.
 
-    ``x`` is ``[t, d_in]``, ``filters`` is ``[k, d_in, d_out]``; the output has
-    ``t - k + 1`` rows.
+    ``x`` is one sequence ``[t, d_in]`` or a batch ``[B, t, d_in]``, and
+    ``filters`` is ``[k, d_in, d_out]``; each sequence yields ``t - k + 1``
+    rows.
     """
-    if x.ndim != 2 or filters.ndim != 3:
-        raise ValueError("conv1d: expected 2-d input and 3-d filters")
+    if x.ndim not in (2, 3) or filters.ndim != 3:
+        raise ValueError("conv1d: expected a 2-d or 3-d input and 3-d filters")
     k, d_in, d_out = filters.shape
-    t = x.shape[0]
-    if x.shape[1] != d_in:
-        raise ValueError(f"conv1d: input width {x.shape[1]} != filter width {d_in}")
+    t = x.shape[-2]
+    if x.shape[-1] != d_in:
+        raise ValueError(f"conv1d: input width {x.shape[-1]} != filter width {d_in}")
     if bias.shape != (d_out,):
         raise ValueError(f"conv1d: bias shape {bias.shape} != ({d_out},)")
     if k > t:
         raise ValueError(f"conv1d: filter length {k} exceeds sequence length {t}")
 
     t_out = t - k + 1
-    values = np.tile(bias.values, (t_out, 1))
+    values = bias.values
     for a in range(k):
-        values = values + x.values[a:a + t_out] @ filters.values[a]
+        values = values + x.values[..., a:a + t_out, :] @ filters.values[a]
 
     def back(g):
         if x.requires_grad:
             gx = np.zeros_like(x.values)
             for a in range(k):
-                gx[a:a + t_out] += g @ filters.values[a].T
+                gx[..., a:a + t_out, :] += g @ filters.values[a].T
             _accum(x, gx)
+        rows = g.reshape(-1, d_out)
         if filters.requires_grad:
             gf = np.zeros_like(filters.values)
             for a in range(k):
-                gf[a] = x.values[a:a + t_out].T @ g
+                gf[a] = x.values[..., a:a + t_out, :].reshape(-1, d_in).T @ rows
             _accum(filters, gf)
-        _accum(bias, g.sum(axis=0))
+        _accum(bias, rows.sum(axis=0))
 
     return _result(tape, "conv1d", (x, filters, bias), values.astype(x.dtype), back)
 
@@ -406,12 +345,33 @@ def l2_normalize(tape, x: Tensor, eps: float = 1e-12) -> Tensor:
     return _result(tape, "l2_normalize", (x,), y, back)
 
 
-def cosine_distance(tape, a: Tensor, b: Tensor) -> Tensor:
+def cosine_distance(tape, a: Tensor, b: Tensor, slots=None) -> Tensor:
     """``1 - a.b`` for unit vectors; plain algebra, no re-normalisation.
 
     Compares two vectors, two matrices row by row, or every row of ``a``
-    with the vector ``b``.
+    with the vector ``b``.  With ``slots``, an integer ``[B, K]`` array of
+    row indices into ``a``, entry ``[i, k]`` compares row ``slots[i, k]``
+    of ``a`` with row ``i`` of the matrix ``b``: one distance per slot.
     """
+    if slots is not None:
+        slots = np.asarray(slots)
+        if not (a.ndim == b.ndim == slots.ndim == 2 and slots.shape[0] == b.shape[0]):
+            raise ValueError(f"cosine_distance: cannot gather {slots.shape} slots "
+                             f"for {b.shape} queries")
+        rows = np.arange(slots.shape[0])[:, None]
+        values = 1.0 - (b.values @ a.values.T)[rows, slots]
+
+        def back(g):
+            # every (query, row) pair's gradient, summed over repeated slots
+            flat = rows * a.shape[0] + slots
+            pair = np.bincount(flat.ravel(), weights=g.ravel(),
+                               minlength=b.shape[0] * a.shape[0])
+            pair = pair.reshape(b.shape[0], a.shape[0]).astype(a.dtype)
+            _accum(a, -(pair.T @ b.values))
+            _accum(b, -(pair @ a.values))
+
+        return _result(tape, "cosine_distance", (a, b), values, back)
+
     rows_vs_vector = a.ndim == 2 and b.shape == a.shape[1:]
     if not (rows_vs_vector or (a.shape == b.shape and a.ndim in (1, 2))):
         raise ValueError(f"cosine_distance: cannot compare {a.shape} with {b.shape}")
@@ -453,7 +413,8 @@ class GRUParams:
         }
 
 
-def gru_sequence(tape, x: Tensor, params: GRUParams, h0: Tensor) -> Tensor:
+def gru_sequence(tape, x: Tensor, params: GRUParams, h0: Tensor,
+                 lengths=None) -> Tensor:
     """Run a GRU over the rows of ``x`` and return the final hidden state.
 
     The recurrence is the usual gated update
@@ -463,25 +424,29 @@ def gru_sequence(tape, x: Tensor, params: GRUParams, h0: Tensor) -> Tensor:
         c_t = tanh(x_t W_c + (r_t * h_{t-1}) U_c + b_c)
         h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-    The whole sequence is one tape node.  Forward projects every row of
-    ``x`` at once and steps only the recurrent products, keeping each
-    step's gates; backward is hand-written backpropagation through the full
-    sequence (no truncation), with one matmul per weight gradient after the
-    loop.  The update and reset weights are joined at call time.
+    ``x`` is one sequence ``[T, d]`` or a batch ``[B, T, d]`` of right-padded
+    sequences whose row i freezes its state after ``lengths[i]`` steps, as
+    in session-parallel mini-batches; every row starts from ``h0``.  It is
+    one tape node: forward projects every input row at once and steps only
+    the recurrent products, and backward is hand-written backpropagation
+    through the full sequence, with one matmul per weight gradient.
     """
-    if x.ndim != 2:
-        raise ValueError("gru_sequence expects a 2-d input")
-    if x.shape[0] == 0:
+    if x.ndim not in (2, 3):
+        raise ValueError("gru_sequence expects a 2-d or 3-d input")
+    if x.shape[-2] == 0:
         raise ValueError("gru_sequence: empty sequence")
     hidden = params.u_update.shape[0]
     if h0.ndim != 1 or h0.shape[0] != hidden:
         raise ValueError("gru_sequence: h0 shape does not match hidden size")
-    if x.shape[1] != params.w_update.shape[0]:
-        raise ValueError(f"gru_sequence: input width {x.shape[1]} does not match "
+    if x.shape[-1] != params.w_update.shape[0]:
+        raise ValueError(f"gru_sequence: input width {x.shape[-1]} does not match "
                          f"w_update {params.w_update.shape}")
 
     p = params
-    xv = x.values
+    batched = x.ndim == 3
+    xv = x.values.swapaxes(0, 1) if batched else x.values  # time-major
+    live = None if lengths is None else (  # [T, B, 1]: is step t inside row b?
+        np.arange(xv.shape[0])[:, None] < np.asarray(lengths))[..., None]
     w_zr = np.concatenate([p.w_update.values, p.w_reset.values], axis=1)
     u_zr = np.concatenate([p.u_update.values, p.u_reset.values], axis=1)
     w_c, u_c = p.w_cand.values, p.u_cand.values
@@ -489,47 +454,60 @@ def gru_sequence(tape, x: Tensor, params: GRUParams, h0: Tensor) -> Tensor:
     in_c = xv @ w_c + p.b_cand.values
 
     steps = xv.shape[0]
+    state = xv.shape[1:-1] + (hidden,)
     dtype = np.result_type(in_zr, in_c, h0.values, u_zr, u_c)
-    hs = np.empty((steps + 1, hidden), dtype=dtype)  # hs[t] is h_{t-1}
+    hs = np.empty((steps + 1,) + state, dtype=dtype)  # hs[t] is h_{t-1}
     hs[0] = h0.values
-    zr = np.empty((steps, 2 * hidden), dtype=dtype)
-    rh = np.empty((steps, hidden), dtype=dtype)
-    c = np.empty((steps, hidden), dtype=dtype)
+    zr = np.empty(in_zr.shape, dtype=dtype)
+    z_all, r_all = zr[..., :hidden], zr[..., hidden:]
+    rh = np.empty(in_c.shape, dtype=dtype)
+    c = np.empty(in_c.shape, dtype=dtype)
     for t in range(steps):
         h = hs[t]
         zr[t] = 0.5 * (1.0 + np.tanh(0.5 * (in_zr[t] + h @ u_zr)))
-        z = zr[t, :hidden]
-        rh[t] = zr[t, hidden:] * h
+        z = z_all[t]
+        rh[t] = r_all[t] * h
         c[t] = np.tanh(in_c[t] + rh[t] @ u_c)
         hs[t + 1] = (1.0 - z) * h + z * c[t]
+        if live is not None:
+            hs[t + 1] = np.where(live[t], hs[t + 1], h)
 
     def back(g):
         d_zr = np.empty_like(zr)
+        d_z, d_r = d_zr[..., :hidden], d_zr[..., hidden:]
         d_c = np.empty_like(c)
         zr_slope = zr * (1.0 - zr)
+        z_slope, r_slope = zr_slope[..., :hidden], zr_slope[..., hidden:]
         c_slope = 1.0 - c * c
         dh = g
         for t in range(steps - 1, -1, -1):
             h = hs[t]
-            z = zr[t, :hidden]
-            d_c[t] = dh * z * c_slope[t]
+            z = z_all[t]
+            # a frozen row passes its gradient straight through the step
+            d_out = dh if live is None else dh * live[t]
+            d_c[t] = d_out * z * c_slope[t]
             d_rh = d_c[t] @ u_c.T
-            d_zr[t, :hidden] = dh * (c[t] - h) * zr_slope[t, :hidden]
-            d_zr[t, hidden:] = d_rh * h * zr_slope[t, hidden:]
-            dh = dh * (1.0 - z) + d_rh * zr[t, hidden:] + d_zr[t] @ u_zr.T
-        _accum(h0, dh)
+            d_z[t] = d_out * (c[t] - h) * z_slope[t]
+            d_r[t] = d_rh * h * r_slope[t]
+            d_prev = d_out * (1.0 - z) + d_rh * r_all[t] + d_zr[t] @ u_zr.T
+            dh = d_prev if live is None else np.where(live[t], d_prev, dh)
+        _accum(h0, dh.reshape(-1, hidden).sum(axis=0) if batched else dh)
         if x.requires_grad:
-            _accum(x, d_zr @ w_zr.T + d_c @ w_c.T)
-        g_w, g_u, g_b = xv.T @ d_zr, hs[:-1].T @ d_zr, d_zr.sum(axis=0)
+            gx = d_zr @ w_zr.T + d_c @ w_c.T
+            _accum(x, gx.swapaxes(0, 1) if batched else gx)
+        xs = xv.reshape(-1, xv.shape[-1])
+        d_zr2, d_c2 = d_zr.reshape(-1, 2 * hidden), d_c.reshape(-1, hidden)
+        g_w, g_u = xs.T @ d_zr2, hs[:-1].reshape(-1, hidden).T @ d_zr2
+        g_b = d_zr2.sum(axis=0)
         _accum(p.w_update, g_w[:, :hidden])
         _accum(p.w_reset, g_w[:, hidden:])
         _accum(p.u_update, g_u[:, :hidden])
         _accum(p.u_reset, g_u[:, hidden:])
         _accum(p.b_update, g_b[:hidden])
         _accum(p.b_reset, g_b[hidden:])
-        _accum(p.w_cand, xv.T @ d_c)
-        _accum(p.u_cand, rh.T @ d_c)
-        _accum(p.b_cand, d_c.sum(axis=0))
+        _accum(p.w_cand, xs.T @ d_c2)
+        _accum(p.u_cand, rh.reshape(-1, hidden).T @ d_c2)
+        _accum(p.b_cand, d_c2.sum(axis=0))
 
     inputs = (x, h0, *p.named().values())
     return _result(tape, "gru_sequence", inputs, hs[steps].copy(), back)
@@ -584,49 +562,3 @@ def adam_step(params: ParamSet, lr: float = 0.001, beta1: float = 0.9,
         v += (1.0 - beta2) * (g * g)
         p.values -= (lr / c1) * m / (np.sqrt(v / c2) + eps)
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-def grad_check(build, params: dict[str, np.ndarray], h: float = 1e-3) -> float:
-    """Compare tape gradients of a scalar graph against central differences.
-
-    ``build(tape, tensors)`` must construct the graph from scratch on every
-    call and return a scalar Tensor.  All arrays are promoted to float64 so
-    the comparison is not polluted by single-precision noise.  Returns the
-    worst ``|analytic - numeric| / max(1, |numeric|)`` over every entry of
-    every parameter.
-    """
-    base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    tape = Tape()
-    tensors = {k: Tensor(v.copy(), requires_grad=True, name=k) for k, v in base.items()}
-    loss = build(tape, tensors)
-    if loss.values.shape != ():
-        raise ValueError("grad_check: build must return a scalar")
-    backward(tape, loss)
-    analytic = {
-        k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.values))
-        for k, t in tensors.items()
-    }
-
-    def evaluate(arrays: dict[str, np.ndarray]) -> float:
-        frozen = {k: Tensor(v) for k, v in arrays.items()}
-        return float(build(None, frozen).values)
-
-    worst = 0.0
-    for key, arr in base.items():
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            up = evaluate(base)
-            flat[i] = saved - h
-            down = evaluate(base)
-            flat[i] = saved
-            numeric = (up - down) / (2.0 * h)
-            diff = abs(float(analytic[key].reshape(-1)[i]) - numeric)
-            worst = max(worst, diff / max(1.0, abs(numeric)))
-    return worst

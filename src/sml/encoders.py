@@ -3,15 +3,17 @@
 Both encoders end in a tanh feed-forward stack followed by L2 normalisation,
 so a session representation and an item representation can be compared with
 cosine distance.  Items are always encoded in batches, as the rows of one
-matrix (:func:`encode_items`).  Four session encoder kinds are supported:
+matrix (:func:`encode_items`).  Training encodes a mini-batch of prefixes
+at once (:func:`encode_sessions`), serving one prefix
+(:func:`encode_session`).  Four session encoder kinds are supported:
 
 * ``MaxPool`` / ``AvgPool`` -- order-insensitive pooling over the embedded
   prefix.
 * ``GRU`` -- final hidden state of a gated recurrent layer (hidden size equals
   the embedding size).
-* ``TextCNN`` -- the prefix is embedded, right-padded with zero rows to a
-  fixed length, convolved with one filter bank per filter size, max-pooled
-  over time (padded positions masked out) and concatenated.
+* ``TextCNN`` -- the prefix is embedded, right-padded with zero rows to
+  ``max_session_length``, convolved with one filter bank per filter size,
+  max-pooled over time (padded positions masked out) and concatenated.
 """
 
 from __future__ import annotations
@@ -172,8 +174,9 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 def encode_items(model: Model, items, tape: ad.Tape | None = None) -> ad.Tensor:
     """Embedding rows -> tanh feed-forward -> unit sphere, one row per item.
 
-    The only item encoder: training calls it once per example on the
-    example's candidates, :func:`item_embedding_matrix` on the vocabulary.
+    The only item encoder: training calls it once per mini-batch on the
+    batch's distinct candidates, :func:`item_embedding_matrix` on the
+    vocabulary.
     """
     rows = ad.embedding_lookup(tape, model.item_embedding, list(items))
     w, b = model.item_ff
@@ -194,25 +197,49 @@ def encode_session(model: Model, prefix, tape: ad.Tape | None = None) -> ad.Tens
     if not prefix:
         raise ValueError("prefix is empty")
     length = len(prefix)
+    if config.encoder_kind == "TextCNN":  # convolves a full window, zero-padded
+        prefix += [-1] * (config.max_session_length - length)
+    return _encode(model, prefix, length, tape)
 
-    x = ad.embedding_lookup(tape, model.session_table, prefix)
+
+def encode_sessions(model: Model, prefixes, tape: ad.Tape | None = None) -> ad.Tensor:
+    """``[B, d]``: row i equals ``encode_session(prefixes[i])`` up to float
+    rounding.  The windowed prefixes are right-padded into one ``[B, T]``
+    index matrix and encoded with a length vector."""
+    windows = [list(p)[-model.config.max_session_length:] for p in prefixes]
+    if not windows or not all(windows):
+        raise ValueError("prefix is empty")
+    lengths = np.array([len(w) for w in windows])
+    width = (model.config.max_session_length if model.config.encoder_kind == "TextCNN"
+             else lengths.max())
+    indices = np.full((len(windows), width), -1)
+    for row, window in zip(indices, windows):
+        row[:len(window)] = window
+    return _encode(model, indices, lengths, tape)
+
+
+def _encode(model: Model, indices, lengths, tape: ad.Tape | None) -> ad.Tensor:
+    """Session encoder over one padded prefix ``[T]`` with an int length, or
+    a batch ``[B, T]`` with a length vector; -1 marks padding."""
+    config = model.config
+    x = ad.embedding_lookup(tape, model.session_table, indices)
     kind = config.encoder_kind
     if kind == "MaxPool":
-        core = ad.seq_pool(tape, x, "max", length)
+        core = ad.seq_pool(tape, x, "max", lengths)
     elif kind == "AvgPool":
-        core = ad.seq_pool(tape, x, "mean", length)
+        core = ad.seq_pool(tape, x, "mean", lengths)
     elif kind == "GRU":
         h0 = ad.constant(np.zeros(config.embedding_dim, dtype=x.dtype))
-        core = ad.gru_sequence(tape, x, model.gru, h0)
+        core = ad.gru_sequence(tape, x, model.gru, h0,
+                               lengths if x.ndim == 3 else None)
     else:  # TextCNN
         total = config.max_session_length
-        padded = ad.pad_rows(tape, x, total)
         pooled = []
         for k in config.conv_filter_sizes:
             filters, bias = model.convs[k]
-            conv = ad.conv1d(tape, padded, filters, bias)
+            conv = ad.conv1d(tape, x, filters, bias)
             # windows that contain no real row would pool pure padding
-            valid = min(length, total - k + 1)
+            valid = np.minimum(lengths, total - k + 1)
             pooled.append(ad.seq_pool(tape, conv, "max", valid))
         core = ad.concat(tape, pooled)
 
@@ -227,11 +254,11 @@ def item_embedding_matrix(model: Model) -> np.ndarray:
     """All item encodings, one unit row per vocabulary index.
 
     Built by one :func:`encode_items` call over the vocabulary.  Its rows
-    equal training-time encodings bit for bit: training always encodes at
-    least two candidates (a positive and a distinct negative), so both go
-    through the same matrix-matrix product, whose rows do not depend on how
-    many other rows it computes.  A one-row product would go to numpy's
-    vector kernel, which may round differently.
+    equal training-time encodings bit for bit: training encodes each
+    mini-batch's distinct candidates, always at least two (a positive and a
+    distinct negative), so they go through the same matrix-matrix product,
+    whose rows do not depend on how many other rows it computes.  A one-row
+    product would go to numpy's vector kernel, which may round differently.
     """
     matrix = encode_items(model, range(model.config.vocab_size)).values
     return matrix.astype(np.float32, copy=False)

@@ -1,13 +1,12 @@
 """Ranking losses expressed over cosine distances.
 
-The pairwise losses consume distance tensors ``dist_pos`` (session to
-observed next item) and ``dist_neg`` (session to a sampled negative) of any
-one shape and act elementwise, so one call scores every position of an
-example; they are minimised when positives are pulled close and negatives
-pushed away.  Each loss computes its value and its derivative with
-respect to the distances it receives in numpy and records one tape node
-(``ad.fused``).  The per-session objective weights sampled positions
-j = 0, 1, ... by sqrt(1/(1+j)) so that the immediate continuation dominates.
+Training scores a whole mini-batch at once (:func:`session_loss`): one
+loss node over a ``[B, K]`` distance matrix, with the position weights
+sqrt(1/(1+j)), the batch mean and a mask for ragged counts folded in.  Each
+loss computes its value and its derivative with respect to the distances
+in numpy.  The pairwise losses are minimised when positives (observed next
+items) are pulled close and sampled negatives pushed away; they are also
+available elementwise over distance tensors of any one shape.
 """
 
 from __future__ import annotations
@@ -49,12 +48,46 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+# Each pairwise term maps distance arrays of one shape to its values and its
+# slopes with respect to each distance, entry by entry.
+
+def _bpr(dist_pos, dist_neg):
+    gap = dist_pos - dist_neg
+    slope = _sigmoid(gap)
+    return np.logaddexp(0.0, gap), (slope, -slope)
+
+
+def _top1(dist_pos, dist_neg):
+    rank = _sigmoid(dist_pos - dist_neg)
+    slack = 1.0 - dist_neg
+    reg = _sigmoid(slack * slack)
+    rank_slope = rank * (1.0 - rank)
+    reg_slope = reg * (1.0 - reg) * 2.0 * slack  # d reg / d slack
+    return rank + reg, (rank_slope, -rank_slope - reg_slope)
+
+
+def _contrastive(dist_pos, dist_neg, margin):
+    excess = dist_neg - margin
+    return dist_pos + np.maximum(excess, 0), (np.ones_like(dist_pos), excess > 0)
+
+
+def _triplet(dist_pos, dist_neg, dist_pos_neg=None, margin=0.3):
+    # with dist_pos_neg, the swap: the closer of the two negatives counts
+    negative = dist_neg
+    if dist_pos_neg is not None:
+        take_neg = dist_neg <= dist_pos_neg
+        negative = np.minimum(dist_neg, dist_pos_neg)
+    gap = dist_pos - negative + margin
+    active = (gap > 0).astype(gap.dtype)
+    slopes = ((active, -active) if dist_pos_neg is None
+              else (active, -active * take_neg, -active * ~take_neg))
+    return np.maximum(gap, 0), slopes
+
+
 def bpr_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
     """-ln(sigmoid(dist_neg - dist_pos)); always positive."""
-    gap = dist_pos.values - dist_neg.values
-    slope = _sigmoid(gap)
     return ad.fused(tape, "bpr_loss", (dist_pos, dist_neg),
-                    np.logaddexp(0.0, gap), (slope, -slope))
+                    *_bpr(dist_pos.values, dist_neg.values))
 
 
 def top1_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
@@ -62,13 +95,8 @@ def top1_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
 
     The second term regularises negatives toward distance 1 (score 0).
     """
-    rank = _sigmoid(dist_pos.values - dist_neg.values)
-    slack = 1.0 - dist_neg.values
-    reg = _sigmoid(slack * slack)
-    rank_slope = rank * (1.0 - rank)
-    reg_slope = reg * (1.0 - reg) * 2.0 * slack  # d reg / d slack
-    return ad.fused(tape, "top1_loss", (dist_pos, dist_neg), rank + reg,
-                    (rank_slope, -rank_slope - reg_slope))
+    return ad.fused(tape, "top1_loss", (dist_pos, dist_neg),
+                    *_top1(dist_pos.values, dist_neg.values))
 
 
 def contrastive_loss(tape, dist: ad.Tensor, same_class: bool,
@@ -90,18 +118,11 @@ def triplet_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor,
     min(dist_neg, dist_pos_neg); an exact tie routes the gradient to
     ``dist_neg``.
     """
-    inputs, negative = (dist_pos, dist_neg), dist_neg.values
-    if use_swap:
-        if dist_pos_neg is None:
-            raise ValueError("use_swap requires dist_pos_neg")
-        inputs += (dist_pos_neg,)
-        take_neg = dist_neg.values <= dist_pos_neg.values
-        negative = np.minimum(dist_neg.values, dist_pos_neg.values)
-    gap = dist_pos.values - negative + margin
-    active = (gap > 0).astype(gap.dtype)
-    slopes = ((active, -active * take_neg, -active * ~take_neg) if use_swap
-              else (active, -active))
-    return ad.fused(tape, "triplet_loss", inputs, np.maximum(gap, 0), slopes)
+    if use_swap and dist_pos_neg is None:
+        raise ValueError("use_swap requires dist_pos_neg")
+    inputs = (dist_pos, dist_neg) + ((dist_pos_neg,) if use_swap else ())
+    return ad.fused(tape, "triplet_loss", inputs,
+                    *_triplet(*(t.values for t in inputs), margin=margin))
 
 
 def position_weight(j: int) -> float:
@@ -109,90 +130,113 @@ def position_weight(j: int) -> float:
     return math.sqrt(1.0 / (1.0 + j))
 
 
-def ncas_from_distances(tape, dists: ad.Tensor, positive_flags: list[bool],
-                        epsilon: float = 0.3, model_first: bool = False) -> ad.Tensor:
+def ncas_from_distances(tape, dists: ad.Tensor, positive_flags,
+                        epsilon: float = 0.3, model_first: bool = False,
+                        mask=None) -> ad.Tensor:
     """KL divergence between a smoothed target and softmax(-distances).
 
-    ``dists`` is the vector of session-to-candidate distances.  The target
-    is uniform over the flagged positives, smoothed to
-    (1 - eps) * target + eps / n over the whole candidate list.  By default
-    the loss is KLD(target || model); ``model_first`` flips the arguments.
+    ``dists`` holds session-to-candidate distances: one candidate vector, or
+    a ``[B, K]`` matrix with one row per session, whose divergences are
+    averaged.  ``positive_flags`` has the same shape, and so does ``mask``,
+    which marks each row's real candidates (all of them when None); the
+    other entries get no probability and no gradient.  A row's target is
+    uniform over its flagged positives, smoothed to
+    (1 - eps) * target + eps / n over its n candidates.  By default the loss
+    is KLD(target || model); ``model_first`` flips the arguments.
     """
-    if dists.ndim != 1:
-        raise ValueError("dists must be a vector")
-    n = dists.shape[0]
-    if n == 0:
-        raise ValueError("candidate list is empty")
-    if len(positive_flags) != n:
-        raise ValueError("positive_flags length must match candidates")
-    n_pos = sum(bool(f) for f in positive_flags)
-    if n_pos == 0:
-        raise ValueError("at least one candidate must be positive")
+    d = dists.values
+    flags = np.asarray(positive_flags, dtype=bool)
+    live = np.ones(d.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if d.ndim not in (1, 2) or flags.shape != d.shape or live.shape != d.shape:
+        raise ValueError("dists must be a vector or a matrix, matched by the "
+                         "flags and the mask")
+    n = live.sum(axis=-1, keepdims=True)
+    flags = flags & live
+    n_pos = flags.sum(axis=-1, keepdims=True)
+    if np.any(n_pos == 0):
+        raise ValueError("every candidate list needs a positive candidate")
 
-    hard = np.array([1.0 / n_pos if f else 0.0 for f in positive_flags])
-    target = (1.0 - epsilon) * hard + epsilon / n
-
-    # log-softmax of the logits -dists, shifted by their maximum first
-    shifted = dists.values.min() - dists.values
-    log_model = shifted - np.log(np.exp(shifted).sum())
-    probs = np.exp(log_model)
+    target = np.where(live, (1.0 - epsilon) * flags / n_pos + epsilon / n, 0.0)
+    log_target = np.log(np.where(target > 0, target, 1.0))
+    # log-softmax of the logits -dists over each row's candidates, shifted
+    # by their maximum first; masked entries stay finite and weigh nothing
+    lowest = np.where(live, d, np.inf).min(axis=-1, keepdims=True)
+    shifted = np.where(live, lowest - d, 0.0)
+    weights = np.exp(shifted) * live
+    total = weights.sum(axis=-1, keepdims=True)
+    log_model = shifted - np.log(total)
+    probs = weights / total
     if model_first:
-        if np.any(target == 0.0):
+        if np.any(live & (target == 0.0)):
             raise ValueError("KLD(model || target) diverges for a zero-mass target; "
                              "use epsilon > 0")
-        gap = log_model - np.log(target)
-        value = np.sum(probs * gap)
+        gap = log_model - log_target
+        value = np.sum(probs * gap, axis=-1, keepdims=True)
         slope = probs * (value - gap)
     else:
-        keep = target > 0
-        value = np.sum(target[keep] * (np.log(target[keep]) - log_model[keep]))
+        value = np.sum(target * (log_target - log_model), axis=-1)
         slope = target - probs
-    return ad.fused(tape, "ncas_from_distances", (dists,), value, (slope,))
+    return ad.fused(tape, "ncas_from_distances", (dists,), value.sum() / value.size,
+                    (slope / value.size,))
 
 
-def session_loss(tape, model: encoders.Model, prefix, positives: list[int],
-                 negatives: list[int], cfg: LossConfig) -> ad.Tensor:
-    """Loss of one training example under any configured loss kind.
+def session_loss(tape, model: encoders.Model, examples, cfg: LossConfig) -> ad.Tensor:
+    """Mean loss of a mini-batch of examples (``prefix`` and paired
+    ``positives`` and ``negatives``), as one tape graph.
 
-    The pairwise losses act on vectors of distances, one entry per position.
+    One :func:`encoders.encode_sessions` call, one :func:`encoders.encode_items`
+    call on the batch's distinct candidates, and one ``[B, K]`` distance
+    matrix gathered by slot feed one loss node.  For NCAS a row's slots are
+    its distinct candidates, positives first, so a repeated positive adds
+    nothing to the set-softmax target; for the pairwise losses a row holds
+    its positives, then its negatives, each padded to the longest list.
     """
-    if len(positives) != len(negatives):
-        raise ValueError("positives and negatives must pair up")
-    if not positives:
-        raise ValueError("example has no positives")
+    if not examples or any(not ex.positives or len(ex.positives) != len(ex.negatives)
+                           for ex in examples):
+        raise ValueError("a batch needs examples, each with paired, non-empty "
+                         "positives and negatives")
 
-    # distinct candidates, positives first; a repeated positive keeps one
-    # slot, and for NCAS adds nothing to a set-softmax target
-    items = list(dict.fromkeys(positives + negatives))
-    session_vec = encoders.encode_session(model, prefix, tape)
-    item_vecs = encoders.encode_items(model, items, tape)
-    dists = ad.cosine_distance(tape, item_vecs, session_vec)
+    fill = examples[0].positives[0]  # padding slots repeat a real candidate
     if cfg.kind == "NCAS":
-        flags = [item in positives for item in items]
-        return ncas_from_distances(tape, dists, flags, cfg.epsilon,
-                                   cfg.kld_model_first)
+        rows = [list(dict.fromkeys(ex.positives + ex.negatives)) for ex in examples]
+    else:
+        counts = np.array([len(ex.positives) for ex in examples])
+        width = int(counts.max())
+        rows = [ex.positives + [fill] * (width - len(ex.positives)) + ex.negatives
+                for ex in examples]
+    ids = np.full((len(rows), max(len(row) for row in rows)), fill)
+    for row, candidates in zip(ids, rows):
+        row[:len(candidates)] = candidates
+    items, slots = np.unique(ids, return_inverse=True)
+    slots = slots.reshape(ids.shape)
 
-    slot = {item: k for k, item in enumerate(items)}
-    pos_slots = [slot[p] for p in positives]
-    neg_slots = [slot[n] for n in negatives]
-    dist_pos = ad.embedding_lookup(tape, dists, pos_slots)
-    dist_neg = ad.embedding_lookup(tape, dists, neg_slots)
-    if cfg.kind == "Contrastive":
-        terms = ad.add(tape, contrastive_loss(tape, dist_pos, True, cfg.margin),
-                       contrastive_loss(tape, dist_neg, False, cfg.margin))
-    elif cfg.kind == "Triplet":
+    sessions = encoders.encode_sessions(model, [ex.prefix for ex in examples], tape)
+    item_vecs = encoders.encode_items(model, items, tape)
+    dists = ad.cosine_distance(tape, item_vecs, sessions, slots)
+    if cfg.kind == "NCAS":
+        column = np.arange(ids.shape[1])
+        n_pos = np.array([len(set(ex.positives)) for ex in examples])
+        n_cand = np.array([len(row) for row in rows])
+        return ncas_from_distances(tape, dists, column < n_pos[:, None], cfg.epsilon,
+                                   cfg.kld_model_first, column < n_cand[:, None])
+
+    dist_pos, dist_neg = dists.values[:, :width], dists.values[:, width:]
+    weights = (np.arange(width) < counts[:, None]) / len(examples)
+    if cfg.position_weighting:
+        weights = weights * [position_weight(j) for j in range(width)]
+    inputs = (dists,)
+    if cfg.kind == "Triplet":
         dist_pos_neg = None
         if cfg.use_swap:
-            dist_pos_neg = ad.cosine_distance(
-                tape, ad.embedding_lookup(tape, item_vecs, pos_slots),
-                ad.embedding_lookup(tape, item_vecs, neg_slots))
-        terms = triplet_loss(tape, dist_pos, dist_neg, dist_pos_neg,
-                             cfg.margin, cfg.use_swap)
-    elif cfg.kind == "BPR":
-        terms = bpr_loss(tape, dist_pos, dist_neg)
+            inputs += (ad.cosine_distance(
+                tape, ad.embedding_lookup(tape, item_vecs, slots[:, :width].ravel()),
+                ad.embedding_lookup(tape, item_vecs, slots[:, width:].ravel())),)
+            dist_pos_neg = inputs[1].values.reshape(dist_pos.shape)
+        values, slopes = _triplet(dist_pos, dist_neg, dist_pos_neg, cfg.margin)
+    elif cfg.kind == "Contrastive":
+        values, slopes = _contrastive(dist_pos, dist_neg, cfg.margin)
     else:
-        terms = top1_loss(tape, dist_pos, dist_neg)
-    if cfg.position_weighting:
-        weights = [position_weight(j) for j in range(len(positives))]
-        terms = ad.mul(tape, terms, ad.constant(weights, dtype=terms.dtype))
-    return ad.reduce_sum(tape, terms)
+        values, slopes = (_bpr if cfg.kind == "BPR" else _top1)(dist_pos, dist_neg)
+    grads = [np.concatenate([weights * slopes[0], weights * slopes[1]], axis=1)]
+    grads += [(weights * slope).ravel() for slope in slopes[2:]]  # swap distances
+    return ad.fused(tape, "session_loss", inputs, np.sum(weights * values), grads)

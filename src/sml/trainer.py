@@ -1,12 +1,13 @@
 """Mini-batch training loop with validation-driven learning-rate decay.
 
-Each epoch samples fresh examples, walks them in batches of
-``batch_size`` (one tape per batch, loss averaged over the batch), and
-applies one Adam step per batch.  After every epoch the recall@eval_n of
-the current model on a held-out chronological tail of the training
-sessions decides the schedule: an epoch that fails to beat the best score by at
-least ``improvement_threshold`` (relative) multiplies the learning rate
-by ``lr_decay_factor``, and the run stops once that has happened
+Each epoch samples fresh examples and walks them in batches of
+``batch_size``: one :func:`losses.session_loss` call builds one tape graph
+for the whole batch and returns its mean loss, and one Adam step follows.
+After every epoch the recall@eval_n of the current model on a held-out
+chronological tail of the training sessions decides the schedule: an
+epoch that fails to beat the best score by at least
+``improvement_threshold`` (relative) multiplies the learning rate by
+``lr_decay_factor``, and the run stops once that has happened
 ``max_lr_reductions`` times.  The returned parameters are the checkpoint
 of the best validation epoch, not necessarily the last one.
 """
@@ -139,13 +140,7 @@ def train(train_data: Dataset, model: Model,
                     batch = examples[lo:lo + train_cfg.batch_size]
                     where = f"epoch {epoch} (batch starting at example {lo})"
                     tape = ad.Tape()
-                    terms = [losses.session_loss(tape, model, ex.prefix, ex.positives,
-                                                 ex.negatives, loss_cfg)
-                             for ex in batch]
-                    inv = terms[0].dtype.type(1.0 / len(terms))
-                    batch_loss = ad.fused(tape, "mean", terms,
-                                          np.stack([t.values for t in terms]).sum() * inv,
-                                          [inv] * len(terms))
+                    batch_loss = losses.session_loss(tape, model, batch, loss_cfg)
                     if not np.isfinite(batch_loss.values):
                         raise DivergenceError(f"non-finite loss in {where}")
                     ad.backward(tape, batch_loss)

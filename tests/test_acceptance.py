@@ -16,6 +16,7 @@ from sml import (baselines, data, evaluation, index, losses, sampling,
                  synth, trainer)
 from sml.encoders import ModelConfig, build_model
 from sml.index import SmlRecommender
+from tape_ops import grad_check, mul, reduce_sum
 from test_baselines import CORPUS, make_dataset
 
 
@@ -30,7 +31,7 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
 
 def _weighted_sum(tape, ts, out, rng):
     w = ad.constant(rng.normal(size=out.shape))
-    return ad.reduce_sum(tape, ad.mul(tape, out, w))
+    return reduce_sum(tape, mul(tape, out, w))
 
 
 def _separated(rng, shape, margin=0.02):
@@ -52,7 +53,7 @@ def _check_embedding_lookup(trial):
         rows = ad.embedding_lookup(tape, ts["table"], idx)
         return _weighted_sum(tape, ts, rows, np.random.default_rng([1, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_dense(trial):
@@ -65,7 +66,7 @@ def _check_dense(trial):
         out = ad.dense(tape, ts["x"], ts["w"], ts["b"], activation=activation)
         return _weighted_sum(tape, ts, out, np.random.default_rng([2, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_seq_pool_max(trial):
@@ -77,7 +78,7 @@ def _check_seq_pool_max(trial):
         out = ad.seq_pool(tape, ts["x"], "max", length)
         return _weighted_sum(tape, ts, out, np.random.default_rng([3, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_seq_pool_mean(trial):
@@ -89,7 +90,7 @@ def _check_seq_pool_mean(trial):
         out = ad.seq_pool(tape, ts["x"], "mean", length)
         return _weighted_sum(tape, ts, out, np.random.default_rng([4, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_conv1d(trial):
@@ -103,7 +104,7 @@ def _check_conv1d(trial):
         out = ad.conv1d(tape, ts["x"], ts["filters"], ts["bias"])
         return _weighted_sum(tape, ts, out, np.random.default_rng([5, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_gru_sequence(trial):
@@ -125,7 +126,7 @@ def _check_gru_sequence(trial):
         out = ad.gru_sequence(tape, ts["x"], gp, ts["h0"])
         return _weighted_sum(tape, ts, out, np.random.default_rng([6, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_l2_normalize(trial):
@@ -139,7 +140,7 @@ def _check_l2_normalize(trial):
         out = ad.l2_normalize(tape, ts["x"])
         return _weighted_sum(tape, ts, out, np.random.default_rng([7, trial]))
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_cosine_distance(trial):
@@ -149,7 +150,7 @@ def _check_cosine_distance(trial):
     def build(tape, ts):
         return ad.cosine_distance(tape, ts["a"], ts["b"])
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _rand_distance(rng):
@@ -164,7 +165,7 @@ def _check_bpr(trial):
     def build(tape, ts):
         return losses.bpr_loss(tape, ts["dp"], ts["dn"])
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_top1(trial):
@@ -175,7 +176,7 @@ def _check_top1(trial):
     def build(tape, ts):
         return losses.top1_loss(tape, ts["dp"], ts["dn"])
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _check_contrastive(trial):
@@ -192,7 +193,7 @@ def _check_contrastive(trial):
         return losses.contrastive_loss(
             tape, ad.cosine_distance(tape, ts["a"], ts["b"]), same, margin=0.3)
 
-    return ad.grad_check(build, params)
+    return grad_check(build, params)
 
 
 def _triplet_units(margin, use_swap):
@@ -217,7 +218,7 @@ def _triplet_units(margin, use_swap):
                 dist_pos_neg=ts.get("dpn"),
                 margin=margin, use_swap=use_swap)
 
-        return ad.grad_check(build, params)
+        return grad_check(build, params)
 
     return check
 
@@ -236,7 +237,7 @@ def _ncas_units(model_first):
                                               epsilon=0.3,
                                               model_first=model_first)
 
-        return ad.grad_check(build, params)
+        return grad_check(build, params)
 
     return check
 

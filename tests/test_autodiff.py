@@ -1,4 +1,4 @@
-"""Tape engine: frozen forward values, gradient oracles, Adam, grad_check."""
+"""Tape engine: frozen forward values, gradient oracles, Adam, the checker."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sml import autodiff as ad
+
+from tape_ops import add, grad_check, mul, reduce_sum, sigmoid, sub
 
 
 def scalar_param(value):
@@ -37,7 +39,7 @@ class TestForwardValues:
         tape = ad.Tape()
         pooled = ad.seq_pool(tape, x, "max", 3)
         np.testing.assert_allclose(pooled.values, [3.0, 7.0])
-        loss = ad.reduce_sum(tape, pooled)
+        loss = reduce_sum(tape, pooled)
         ad.backward(tape, loss)
         expected = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(x.grad, expected)
@@ -45,7 +47,7 @@ class TestForwardValues:
     def test_seq_pool_max_tie_goes_to_first_row(self):
         x = ad.parameter(np.array([[4.0], [4.0]]))
         tape = ad.Tape()
-        loss = ad.reduce_sum(tape, ad.seq_pool(tape, x, "max", 2))
+        loss = reduce_sum(tape, ad.seq_pool(tape, x, "max", 2))
         ad.backward(tape, loss)
         np.testing.assert_allclose(x.grad, [[1.0], [0.0]])
 
@@ -107,7 +109,7 @@ class TestForwardValues:
         tape = ad.Tape()
         rows = ad.embedding_lookup(tape, table, [2, 0, 2])
         np.testing.assert_allclose(rows.values, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
-        loss = ad.reduce_sum(tape, rows)
+        loss = reduce_sum(tape, rows)
         ad.backward(tape, loss)
         np.testing.assert_allclose(table.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
@@ -157,21 +159,21 @@ class TestTapeMechanics:
     def test_fanout_accumulates(self):
         x = scalar_param(3.0)
         tape = ad.Tape()
-        y = ad.add(tape, x, x)
+        y = add(tape, x, x)
         ad.backward(tape, y)
         assert float(x.grad) == 2.0
 
     def test_square_via_mul_fanout(self):
         x = scalar_param(1.7)
         tape = ad.Tape()
-        y = ad.mul(tape, x, x)
+        y = mul(tape, x, x)
         ad.backward(tape, y)
         np.testing.assert_allclose(float(x.grad), 2 * 1.7)
 
     def test_backward_rejects_non_scalar(self):
         x = ad.parameter(np.ones(3))
         tape = ad.Tape()
-        y = ad.mul(tape, x, x)
+        y = mul(tape, x, x)
         with pytest.raises(ValueError):
             ad.backward(tape, y)
 
@@ -179,14 +181,14 @@ class TestTapeMechanics:
         tape = ad.Tape()
         other = ad.Tape()
         x = scalar_param(1.0)
-        y = ad.mul(other, x, x)
+        y = mul(other, x, x)
         with pytest.raises(ValueError):
             ad.backward(tape, y)
 
     def test_reverse_record_order(self):
         x = scalar_param(0.5)
         tape = ad.Tape()
-        y = ad.sigmoid(tape, ad.mul(tape, x, ad.constant(np.float64(3.0))))
+        y = sigmoid(tape, mul(tape, x, ad.constant(np.float64(3.0))))
         assert [n.op for n in tape.nodes] == ["mul", "sigmoid"]
         ad.backward(tape, y)
         s = 1.0 / (1.0 + np.exp(-1.5))
@@ -196,8 +198,8 @@ class TestTapeMechanics:
         a = scalar_param(2.0)
         b = scalar_param(5.0)
         t1, t2 = ad.Tape(), ad.Tape()
-        ya = ad.mul(t1, a, a)
-        yb = ad.mul(t2, b, ad.constant(np.float64(4.0)))
+        ya = mul(t1, a, a)
+        yb = mul(t2, b, ad.constant(np.float64(4.0)))
         ad.backward(t2, yb)
         ad.backward(t1, ya)
         assert float(a.grad) == 4.0
@@ -207,7 +209,7 @@ class TestTapeMechanics:
         c = ad.constant(np.float64(2.0))
         x = scalar_param(3.0)
         tape = ad.Tape()
-        y = ad.mul(tape, x, c)
+        y = mul(tape, x, c)
         ad.backward(tape, y)
         assert c.grad is None
         assert float(x.grad) == 2.0
@@ -247,7 +249,7 @@ class TestAdam:
         p = params.register("w", ad.parameter(np.float32(5.0)))
         for _ in range(3000):
             tape = ad.Tape()
-            loss = ad.mul(tape, p, p)
+            loss = mul(tape, p, p)
             ad.backward(tape, loss)
             ad.adam_step(params, lr=0.01)
         assert abs(float(p.values)) < 1e-2
@@ -255,17 +257,17 @@ class TestAdam:
 
 class TestGradCheckSelf:
     def test_quadratic_error_tiny(self):
-        err = ad.grad_check(
-            lambda tape, ts: ad.mul(tape, ts["w"], ts["w"]),
+        err = grad_check(
+            lambda tape, ts: mul(tape, ts["w"], ts["w"]),
             {"w": np.array(0.37)},
         )
         assert err < 1e-8
 
     def test_constant_function_zero_error(self):
         def build(tape, ts):
-            return ad.mul(tape, ts["w"], ad.constant(np.float64(0.0)))
+            return mul(tape, ts["w"], ad.constant(np.float64(0.0)))
 
-        assert ad.grad_check(build, {"w": np.array(1.23)}) == 0.0
+        assert grad_check(build, {"w": np.array(1.23)}) == 0.0
 
 
 def _away_from_ties(rng, shape):
@@ -289,18 +291,18 @@ class TestGradientOracle:
 
             def build(tape, ts, act=act):
                 out = ad.dense(tape, ts["x"], ts["w"], ts["b"], activation=act)
-                return ad.reduce_sum(tape, ad.mul(tape, out, out))
+                return reduce_sum(tape, mul(tape, out, out))
 
-            assert ad.grad_check(build, params) < 1e-3
+            assert grad_check(build, params) < 1e-3
 
     def test_dense_vector_input(self):
         rng = np.random.default_rng(3)
         params = {"x": rng.normal(size=3), "w": rng.normal(size=(3, 2))}
 
         def build(tape, ts):
-            return ad.reduce_sum(tape, ad.dense(tape, ts["x"], ts["w"], activation="tanh"))
+            return reduce_sum(tape, ad.dense(tape, ts["x"], ts["w"], activation="tanh"))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_seq_pool_max(self):
         rng = np.random.default_rng(5)
@@ -308,9 +310,9 @@ class TestGradientOracle:
 
         def build(tape, ts):
             pooled = ad.seq_pool(tape, ts["x"], "max", 4)
-            return ad.reduce_sum(tape, ad.mul(tape, pooled, pooled))
+            return reduce_sum(tape, mul(tape, pooled, pooled))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_seq_pool_mean(self):
         rng = np.random.default_rng(6)
@@ -318,9 +320,9 @@ class TestGradientOracle:
 
         def build(tape, ts):
             pooled = ad.seq_pool(tape, ts["x"], "mean", 5)
-            return ad.reduce_sum(tape, ad.mul(tape, pooled, pooled))
+            return reduce_sum(tape, mul(tape, pooled, pooled))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_conv1d(self):
         rng = np.random.default_rng(8)
@@ -332,9 +334,9 @@ class TestGradientOracle:
 
         def build(tape, ts):
             out = ad.conv1d(tape, ts["x"], ts["f"], ts["b"])
-            return ad.reduce_sum(tape, ad.mul(tape, out, out))
+            return reduce_sum(tape, mul(tape, out, out))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_gru_sequence_full_bptt(self):
         rng = np.random.default_rng(9)
@@ -352,9 +354,9 @@ class TestGradientOracle:
                 w_cand=ts["w_cand"], u_cand=ts["u_cand"], b_cand=ts["b_cand"],
             )
             hT = ad.gru_sequence(tape, ts["x"], gp, ts["h0"])
-            return ad.reduce_sum(tape, ad.mul(tape, hT, hT))
+            return reduce_sum(tape, mul(tape, hT, hT))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_l2_normalize(self):
         params = {"x": np.array([0.4, -1.3, 2.2, 0.8])}
@@ -362,9 +364,9 @@ class TestGradientOracle:
         def build(tape, ts):
             y = ad.l2_normalize(tape, ts["x"])
             w = ad.constant(np.array([0.3, -0.7, 0.2, 1.1]))
-            return ad.reduce_sum(tape, ad.mul(tape, y, w))
+            return reduce_sum(tape, mul(tape, y, w))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_cosine_distance(self):
         rng = np.random.default_rng(12)
@@ -374,7 +376,7 @@ class TestGradientOracle:
             return ad.cosine_distance(
                 tape, ad.l2_normalize(tape, ts["a"]), ad.l2_normalize(tape, ts["b"]))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_embedding_lookup(self):
         rng = np.random.default_rng(13)
@@ -382,9 +384,9 @@ class TestGradientOracle:
 
         def build(tape, ts):
             rows = ad.embedding_lookup(tape, ts["table"], [1, 4, 1, 0])
-            return ad.reduce_sum(tape, ad.mul(tape, rows, rows))
+            return reduce_sum(tape, mul(tape, rows, rows))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_l2_normalize_rows_with_zero_row(self):
         rng = np.random.default_rng(16)
@@ -393,12 +395,12 @@ class TestGradientOracle:
         mask[1] = 0.0  # row 1 stays exactly zero under every perturbation
 
         def build(tape, ts):
-            rows = ad.mul(tape, ts["x"], ad.constant(mask))
+            rows = mul(tape, ts["x"], ad.constant(mask))
             y = ad.l2_normalize(tape, rows)
             w = ad.constant(np.arange(12.0).reshape(3, 4) / 7.0 - 0.8)
-            return ad.reduce_sum(tape, ad.mul(tape, y, w))
+            return reduce_sum(tape, mul(tape, y, w))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_cosine_distance_rows_vs_vector(self):
         rng = np.random.default_rng(17)
@@ -408,9 +410,9 @@ class TestGradientOracle:
         def build(tape, ts):
             d = ad.cosine_distance(tape, ad.l2_normalize(tape, ts["rows"]),
                                    ad.l2_normalize(tape, ts["v"]))
-            return ad.reduce_sum(tape, ad.mul(tape, d, weights))
+            return reduce_sum(tape, mul(tape, d, weights))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_cosine_distance_rows_vs_rows(self):
         rng = np.random.default_rng(18)
@@ -419,9 +421,9 @@ class TestGradientOracle:
 
         def build(tape, ts):
             d = ad.cosine_distance(tape, ts["a"], ts["b"])
-            return ad.reduce_sum(tape, ad.mul(tape, d, weights))
+            return reduce_sum(tape, mul(tape, d, weights))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_embedding_lookup_vector_repeated_indices(self):
         rng = np.random.default_rng(19)
@@ -429,19 +431,19 @@ class TestGradientOracle:
 
         def build(tape, ts):
             picked = ad.embedding_lookup(tape, ts["v"], [3, 0, 3, 3, 1])
-            return ad.reduce_sum(tape, ad.mul(tape, picked, picked))
+            return reduce_sum(tape, mul(tape, picked, picked))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_scalar_chain(self):
         params = {"a": np.array(0.8), "b": np.array(-0.4)}
 
         def build(tape, ts):
-            s = ad.sigmoid(tape, ad.sub(tape, ts["a"], ts["b"]))
-            return ad.mul(tape, ad.mul(tape, s, ad.add(tape, s, ts["b"])),
+            s = sigmoid(tape, sub(tape, ts["a"], ts["b"]))
+            return mul(tape, mul(tape, s, add(tape, s, ts["b"])),
                           ad.constant(np.float64(-1.0)))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     def test_fused_elementwise_and_scalar(self):
         # softplus(a - b) elementwise, then log-sum-exp of it as a scalar
@@ -457,19 +459,19 @@ class TestGradientOracle:
             return ad.fused(tape, "logsumexp", (soft,), lse,
                             (np.exp(soft.values - lse),))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
-    def test_pad_rows_and_concat(self):
+    def test_padded_lookup_pool_and_concat(self):
         rng = np.random.default_rng(15)
-        params = {"x": rng.normal(size=(2, 3)), "y": rng.normal(size=4)}
+        params = {"table": rng.normal(size=(4, 3)), "y": rng.normal(size=(2, 2))}
 
         def build(tape, ts):
-            padded = ad.pad_rows(tape, ts["x"], 5)
-            pooled = ad.seq_pool(tape, padded, "mean", 2)
+            rows = ad.embedding_lookup(tape, ts["table"], [[1, -1, -1], [2, 0, 2]])
+            pooled = ad.seq_pool(tape, rows, "mean", np.array([1, 3]))
             joined = ad.concat(tape, [pooled, ts["y"]])
-            return ad.reduce_sum(tape, ad.mul(tape, joined, joined))
+            return reduce_sum(tape, mul(tape, joined, joined))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
 
 GRU_GATES = tuple(f"{kind}_{gate}" for gate in ("update", "reset", "cand")
@@ -518,18 +520,18 @@ def per_step_gru(tape, x, params, h0):
     identity = ad.constant(np.eye(h0.shape[0]))
     for t in range(steps):
         x_t = ad.dense(tape, ad.constant(np.eye(steps)[t]), x)
-        z = ad.sigmoid(tape, ad.add(tape, ad.add(
+        z = sigmoid(tape, add(tape, add(
             tape, ad.dense(tape, x_t, params.w_update),
             ad.dense(tape, h, params.u_update)), params.b_update))
-        r = ad.sigmoid(tape, ad.add(tape, ad.add(
+        r = sigmoid(tape, add(tape, add(
             tape, ad.dense(tape, x_t, params.w_reset),
             ad.dense(tape, h, params.u_reset)), params.b_reset))
-        cand = ad.dense(tape, ad.add(
+        cand = ad.dense(tape, add(
             tape, ad.dense(tape, x_t, params.w_cand),
-            ad.dense(tape, ad.mul(tape, r, h), params.u_cand)),
+            ad.dense(tape, mul(tape, r, h), params.u_cand)),
             identity, params.b_cand, activation="tanh")
-        h = ad.add(tape, ad.mul(tape, ad.sub(tape, ones, z), h),
-                   ad.mul(tape, z, cand))
+        h = add(tape, mul(tape, sub(tape, ones, z), h),
+                   mul(tape, z, cand))
     return h
 
 
@@ -562,9 +564,9 @@ class TestFusedGru:
 
         def build(tape, ts):
             out = ad.gru_sequence(tape, ts["x"], _gru_params(ts), ts["h0"])
-            return ad.reduce_sum(tape, ad.mul(tape, out, ad.constant(weights)))
+            return reduce_sum(tape, mul(tape, out, ad.constant(weights)))
 
-        assert ad.grad_check(build, params) < 1e-3
+        assert grad_check(build, params) < 1e-3
 
     @pytest.mark.parametrize("steps", [1, 3, 7])
     def test_gradients_match_per_step_composition(self, steps):
@@ -574,12 +576,55 @@ class TestFusedGru:
             ts = {k: ad.parameter(v.copy()) for k, v in arrays.items()}
             tape = ad.Tape()
             out = gru(tape, ts["x"], _gru_params(ts), ts["h0"])
-            ad.backward(tape, ad.reduce_sum(tape, ad.mul(tape, out, out)))
+            ad.backward(tape, reduce_sum(tape, mul(tape, out, out)))
             grads.append({k: t.grad for k, t in ts.items()})
         fused, composed = grads
         for name in arrays:
             np.testing.assert_allclose(fused[name], composed[name],
                                        rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_batch_grad_check_at_mixed_lengths(self):
+        rng = np.random.default_rng(28)
+        params = _gru_arrays(rng, 4, 3, 3)
+        params["x"] = rng.normal(size=(3, 4, 3))
+        lengths = np.array([1, 4, 2])
+        weights = ad.constant(rng.normal(size=(3, 3)))
+
+        def build(tape, ts):
+            out = ad.gru_sequence(tape, ts["x"], _gru_params(ts), ts["h0"], lengths)
+            return reduce_sum(tape, mul(tape, out, weights))
+
+        assert grad_check(build, params) < 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_matches_per_sequence_gru_at_mixed_lengths(self, dtype):
+        rng = np.random.default_rng(29)
+        steps, batch = 6, 5
+        arrays = {k: v.astype(dtype) for k, v in _gru_arrays(rng, steps, 4, 4).items()}
+        arrays["x"] = rng.normal(size=(batch, steps, 4)).astype(dtype)
+        lengths = np.array([1, steps, 3, 2, steps])
+        weights = rng.normal(size=(batch, 4)).astype(dtype)
+
+        live = {k: ad.parameter(v.copy()) for k, v in arrays.items()}
+        tape = ad.Tape()
+        out = ad.gru_sequence(tape, live["x"], _gru_params(live), live["h0"], lengths)
+        ad.backward(tape, reduce_sum(tape, mul(tape, out, ad.constant(weights))))
+        assert [node.op for node in tape.nodes].count("gru_sequence") == 1
+
+        single = {k: ad.parameter(v.copy()) for k, v in arrays.items() if k != "x"}
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for i, length in enumerate(lengths):
+            x_i = ad.parameter(arrays["x"][i, :length].copy())
+            tape_i = ad.Tape()
+            h = ad.gru_sequence(tape_i, x_i, _gru_params(single), single["h0"])
+            np.testing.assert_allclose(out.values[i], h.values, rtol=0, atol=tol)
+            ad.backward(tape_i, reduce_sum(tape_i, mul(tape_i, h, ad.constant(weights[i]))))
+            np.testing.assert_allclose(live["x"].grad[i, :length], x_i.grad,
+                                       rtol=0, atol=tol)
+            np.testing.assert_array_equal(live["x"].grad[i, length:], 0.0)
+        for name in GRU_GATES + ("h0",):
+            np.testing.assert_allclose(live[name].grad, single[name].grad,
+                                       rtol=0, atol=10 * tol, err_msg=name)
 
     def test_input_width_must_match_w_update(self):
         arrays = _gru_arrays(np.random.default_rng(26), 3, 4, 4)
@@ -598,9 +643,131 @@ class TestFusedGru:
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 1000))
-def test_pad_rows_appends_zeros(rows, cols, seed):
+def test_padding_index_gathers_zero_rows(rows, cols, seed):
     rng = np.random.default_rng(seed)
-    x = ad.constant(rng.normal(size=(rows, cols)))
-    padded = ad.pad_rows(None, x, rows + 2)
-    np.testing.assert_allclose(padded.values[:rows], x.values)
-    np.testing.assert_allclose(padded.values[rows:], 0.0)
+    table = ad.parameter(rng.normal(size=(rows, cols)))
+    idx = rng.integers(-1, rows, size=(3, 4))
+    tape = ad.Tape()
+    out = ad.embedding_lookup(tape, table, idx)
+    np.testing.assert_array_equal(out.values[idx >= 0], table.values[idx[idx >= 0]])
+    np.testing.assert_array_equal(out.values[idx < 0], 0.0)
+    ad.backward(tape, reduce_sum(tape, out))
+    np.testing.assert_array_equal(table.grad[:, 0], np.bincount(idx[idx >= 0],
+                                                                minlength=rows))
+
+
+def _lengths(rng, batch, steps):
+    """Lengths in [1, steps] for a batch, the extremes 1 and steps included."""
+    lengths = rng.integers(1, steps + 1, size=batch)
+    lengths[:2] = (1, steps)
+    return lengths
+
+
+class TestBatchedOps:
+    """Each op's batch axis: finite differences, and agreement row by row
+    with the one-sequence path at mixed lengths."""
+
+    B, T, D = 4, 5, 3
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    def test_seq_pool_grad_check(self, mode):
+        rng = np.random.default_rng(31)
+        lengths = _lengths(rng, self.B, self.T)
+        params = {"x": _away_from_ties(rng, (self.B, self.T, self.D))}
+        weights = ad.constant(rng.normal(size=(self.B, self.D)))
+
+        def build(tape, ts):
+            pooled = ad.seq_pool(tape, ts["x"], mode, lengths)
+            return reduce_sum(tape, mul(tape, pooled, weights))
+
+        assert grad_check(build, params) < 1e-3
+
+    @pytest.mark.parametrize("mode", ["max", "mean"])
+    def test_seq_pool_rows_match_one_sequence(self, mode):
+        rng = np.random.default_rng(32)
+        lengths = _lengths(rng, self.B, self.T)
+        x = rng.normal(size=(self.B, self.T, self.D))
+        x[0, 3] = x[0, 0]  # a tie past the length is masked out
+        batch = ad.seq_pool(None, ad.constant(x), mode, lengths).values
+        for i, length in enumerate(lengths):
+            np.testing.assert_allclose(
+                batch[i], ad.seq_pool(None, ad.constant(x[i]), mode, int(length)).values,
+                rtol=0, atol=1e-12)
+
+    def test_seq_pool_rejects_bad_lengths(self):
+        x = ad.constant(np.zeros((2, 3, 1)))
+        for bad in ([0, 1], [1, 4], [1]):
+            with pytest.raises(ValueError):
+                ad.seq_pool(None, x, "max", np.array(bad))
+
+    def test_conv1d_grad_check_and_rows(self):
+        rng = np.random.default_rng(33)
+        params = {"x": rng.normal(size=(self.B, self.T, self.D)),
+                  "f": rng.normal(size=(2, self.D, 2)), "b": rng.normal(size=2)}
+        weights = ad.constant(rng.normal(size=(self.B, self.T - 1, 2)))
+
+        def build(tape, ts):
+            out = ad.conv1d(tape, ts["x"], ts["f"], ts["b"])
+            return reduce_sum(tape, mul(tape, out, weights))
+
+        assert grad_check(build, params) < 1e-3
+        ts = {k: ad.constant(v) for k, v in params.items()}
+        batch = ad.conv1d(None, ts["x"], ts["f"], ts["b"]).values
+        for i in range(self.B):
+            np.testing.assert_allclose(
+                batch[i], ad.conv1d(None, ad.constant(params["x"][i]), ts["f"],
+                                    ts["b"]).values, rtol=0, atol=1e-12)
+
+    def test_concat_last_axis_grad_check(self):
+        rng = np.random.default_rng(34)
+        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=(3, 4))}
+        weights = ad.constant(rng.normal(size=(3, 6)))
+
+        def build(tape, ts):
+            return reduce_sum(tape, mul(tape, ad.concat(tape, [ts["a"], ts["b"]]),
+                                        weights))
+
+        assert grad_check(build, params) < 1e-3
+        with pytest.raises(ValueError):
+            ad.concat(None, [ad.constant(np.zeros((3, 2))), ad.constant(np.zeros((2, 2)))])
+
+    def test_embedding_lookup_matrix_of_indices_grad_check(self):
+        rng = np.random.default_rng(35)
+        params = {"table": rng.normal(size=(5, 3))}
+        idx = np.array([[4, 4, -1], [0, 4, 1]])  # repeats and padding
+        weights = ad.constant(rng.normal(size=(2, 3, 3)))
+
+        def build(tape, ts):
+            rows = ad.embedding_lookup(tape, ts["table"], idx)
+            return reduce_sum(tape, mul(tape, rows, weights))
+
+        assert grad_check(build, params) < 1e-3
+        with pytest.raises(IndexError):
+            ad.embedding_lookup(None, ad.constant(np.zeros((3, 2))), [[0, -2]])
+
+    def test_cosine_distance_slots_grad_check(self):
+        rng = np.random.default_rng(36)
+        params = {"rows": rng.normal(size=(4, 3)), "queries": rng.normal(size=(3, 3))}
+        slots = np.array([[0, 2, 2], [3, 3, 1], [1, 0, 0]])  # repeated slots
+        weights = ad.constant(rng.normal(size=(3, 3)))
+
+        def build(tape, ts):
+            d = ad.cosine_distance(tape, ts["rows"], ts["queries"], slots)
+            return reduce_sum(tape, mul(tape, d, weights))
+
+        assert grad_check(build, params) < 1e-3
+        want = 1.0 - np.einsum("bkd,bd->bk", params["rows"][slots], params["queries"])
+        got = ad.cosine_distance(None, ad.constant(params["rows"]),
+                                 ad.constant(params["queries"]), slots).values
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_fused_scalar_of_inputs_with_different_shapes(self):
+        rng = np.random.default_rng(37)
+        params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
+
+        def build(tape, ts):
+            a, b = ts["a"].values, ts["b"].values
+            value = np.sum(a * a) + np.sum(np.sin(b))
+            return ad.fused(tape, "f", (ts["a"], ts["b"]), value, (2 * a, np.cos(b)))
+
+        assert grad_check(build, params) < 1e-3

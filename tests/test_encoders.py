@@ -1,6 +1,7 @@
 """Encoder structure, determinism, normalisation and padding behaviour."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sml import autodiff as ad
-from sml import encoders
+from sml import encoders, losses
 
 from conftest import make_model, numpy_item_vectors
+from tape_ops import grad_check, mul, reduce_sum
 
 
 KINDS = ["MaxPool", "AvgPool", "GRU", "TextCNN"]
@@ -149,17 +151,34 @@ class TestEncode:
                                    atol=1e-6)
 
     @pytest.mark.parametrize("dim", [6, 8, 16, 64, 400])
-    def test_matrix_rows_equal_training_encodings(self, dim):
-        # training encodes each example's two or more candidates in one call;
-        # the matrix row of an item must be that encoding bit for bit
+    def test_matrix_rows_equal_training_encodings(self, dim, monkeypatch):
+        # training encodes each batch's distinct candidates in one call; the
+        # matrix row of an item must be that encoding bit for bit
         model = make_model(dim=dim, vocab=50, seed=dim)
         matrix = encoders.item_embedding_matrix(model)
+        encoded = []
+        encode_items = encoders.encode_items
+
+        def spy(model, items, tape=None):
+            vecs = encode_items(model, items, tape)
+            encoded.append((list(items), vecs.values))
+            return vecs
+
+        monkeypatch.setattr(encoders, "encode_items", spy)
         rng = np.random.default_rng(dim)
         for _ in range(20):
-            size = int(rng.integers(2, 17))
-            items = [int(i) for i in rng.choice(50, size=size, replace=False)]
-            np.testing.assert_array_equal(
-                matrix[items], encoders.encode_items(model, items).values)
+            batch = []
+            for _ in range(int(rng.integers(1, 9))):
+                count = int(rng.integers(1, 9))
+                items = rng.choice(50, size=2 * count, replace=False)
+                batch.append(SimpleNamespace(prefix=[int(rng.integers(0, 50))],
+                                             positives=[int(i) for i in items[:count]],
+                                             negatives=[int(i) for i in items[count:]]))
+            kind = ("Triplet", "NCAS")[len(encoded) % 2]
+            losses.session_loss(ad.Tape(), model, batch, losses.LossConfig(kind=kind))
+        assert len(encoded) == 20
+        for items, vecs in encoded:
+            np.testing.assert_array_equal(matrix[items], vecs)
         np.testing.assert_allclose(matrix, numpy_item_vectors(model, range(50)),
                                    atol=1e-6)
 
@@ -176,6 +195,25 @@ class TestEncode:
             long = encoders.encode_session(model, [9, 8, 7, 1, 2])
             np.testing.assert_array_equal(
                 long.values, encoders.encode_session(model, [7, 1, 2]).values)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_rows_match_one_prefix_at_a_time(self, kind):
+        # lengths 1 to max_session_length + 3 in one batch, repeated items
+        model = make_model(kind=kind, vocab=12, max_session_length=6, seed=5)
+        rng = np.random.default_rng(8)
+        prefixes = [[int(i) for i in rng.integers(0, 12, size=n)] for n in range(1, 10)]
+        prefixes.append([3, 3, 3])
+        batch = encoders.encode_sessions(model, prefixes).values
+        assert batch.shape == (len(prefixes), 8)
+        for row, prefix in zip(batch, prefixes):
+            np.testing.assert_allclose(row, encoders.encode_session(model, prefix).values,
+                                       rtol=0, atol=1e-6)
+
+    def test_batch_rejects_an_empty_prefix(self):
+        model = make_model()
+        for prefixes in ([], [[1], []]):
+            with pytest.raises(ValueError, match="empty"):
+                encoders.encode_sessions(model, prefixes)
 
 
 class TestScore:
@@ -201,7 +239,6 @@ def test_encodings_always_finite(kind, seed, prefix):
 @pytest.mark.parametrize("kind", KINDS)
 def test_session_encoder_gradients(kind):
     from conftest import encoder_loss_builder
-    from sml import losses
 
     cfg = encoders.ModelConfig(vocab_size=9, embedding_dim=4, encoder_kind=kind,
                                max_session_length=5, conv_filter_sizes=(1, 2))
@@ -209,7 +246,23 @@ def test_session_encoder_gradients(kind):
     def loss_fn(tape, model):
         vec = encoders.encode_session(model, [1, 7, 2], tape)
         target = ad.constant(np.arange(4, dtype=np.float64) / 4.0)
-        return ad.reduce_sum(tape, ad.mul(tape, vec, target))
+        return reduce_sum(tape, mul(tape, vec, target))
 
     params, build = encoder_loss_builder(cfg, loss_fn)
-    assert ad.grad_check(build, params) < 1e-3
+    assert grad_check(build, params) < 1e-3
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_session_encoder_gradients(kind):
+    from conftest import encoder_loss_builder
+
+    cfg = encoders.ModelConfig(vocab_size=9, embedding_dim=4, encoder_kind=kind,
+                               max_session_length=5, conv_filter_sizes=(1, 2))
+    target = ad.constant(np.arange(12, dtype=np.float64).reshape(3, 4) / 12.0 - 0.4)
+
+    def loss_fn(tape, model):
+        vecs = encoders.encode_sessions(model, [[1, 7, 2], [4], [8, 0, 3, 5, 6, 2]], tape)
+        return reduce_sum(tape, mul(tape, vecs, target))
+
+    params, build = encoder_loss_builder(cfg, loss_fn)
+    assert grad_check(build, params) < 1e-3

@@ -1,6 +1,7 @@
 """Loss identities, gradient directions, and checks through encoder graphs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sml import autodiff as ad
 from sml import encoders, losses
 
 from conftest import encoder_loss_builder, make_model, numpy_item_vectors
+from tape_ops import add, grad_check, mul
 
 
 def dist(value):
@@ -156,7 +158,7 @@ class TestPositionWeights:
         t1 = losses.triplet_loss(tape, dist(0.9), dist(0.3), margin=0.3)
         w0, w1 = (ad.constant(np.asarray(losses.position_weight(i), dtype=t0.dtype))
                   for i in (0, 1))
-        total = ad.add(tape, ad.mul(tape, t0, w0), ad.mul(tape, t1, w1))
+        total = add(tape, mul(tape, t0, w0), mul(tape, t1, w1))
         np.testing.assert_allclose(float(total.values), math.sqrt(0.5) * 0.9,
                                    atol=1e-12)
 
@@ -220,6 +222,57 @@ class TestNcas:
             assert np.isfinite(float(out.values))
             assert np.all(np.isfinite(d.grad))
 
+    @staticmethod
+    def _ragged(seed):
+        """A [4, 5] distance matrix with ragged candidate counts 1 to 5."""
+        rng = np.random.default_rng(seed)
+        counts = np.array([1, 5, 3, 2])
+        mask = np.arange(5) < counts[:, None]
+        flags = mask & (np.arange(5) < rng.integers(1, 3, size=(4, 1)))
+        return rng.uniform(0.05, 1.95, size=(4, 5)), flags, mask
+
+    @pytest.mark.parametrize("model_first", [False, True])
+    def test_batch_rows_average_the_per_row_losses(self, model_first):
+        d, flags, mask = self._ragged(41)
+        tape = ad.Tape()
+        batch = dists(d)
+        # every floating-point error raises: a masked entry computes nothing
+        # undefined, even with zero-mass targets
+        eps = 0.3 if model_first else 0.0
+        with np.errstate(all="raise"):
+            out = losses.ncas_from_distances(tape, batch, flags, eps, model_first, mask)
+            ad.backward(tape, out)
+        want, grads = [], np.zeros_like(d)
+        for i in range(len(d)):
+            row = dists(d[i][mask[i]])
+            row_tape = ad.Tape()
+            value = losses.ncas_from_distances(row_tape, row, flags[i][mask[i]], eps,
+                                               model_first)
+            ad.backward(row_tape, value)
+            want.append(float(value.values))
+            grads[i][mask[i]] = row.grad / len(d)
+        assert float(out.values) == pytest.approx(np.mean(want), abs=1e-12)
+        np.testing.assert_allclose(batch.grad, grads, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("model_first", [False, True])
+    def test_batch_grad_check_with_mask(self, model_first):
+        d, flags, mask = self._ragged(42)
+
+        def build(tape, ts):
+            return losses.ncas_from_distances(tape, ts["d"], flags, 0.3, model_first, mask)
+
+        assert grad_check(build, {"d": d}) < 1e-3
+
+    def test_batch_row_without_positive_or_candidates_rejected(self):
+        d = dists(np.ones((2, 3)))
+        flags = np.array([[True, False, False], [False, False, True]])
+        with pytest.raises(ValueError, match="positive"):
+            losses.ncas_from_distances(ad.Tape(), d, flags,
+                                       mask=np.array([[1, 1, 1], [1, 1, 0]]))
+        with pytest.raises(ValueError, match="positive"):
+            losses.ncas_from_distances(ad.Tape(), d, flags,
+                                       mask=np.array([[1, 1, 1], [0, 0, 0]]))
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 2), min_size=2, max_size=6),
            st.integers(1, 5), st.floats(0, 1))
@@ -230,41 +283,46 @@ class TestNcas:
         assert float(out.values) >= -1e-9
 
 
+def example(prefix, positives, negatives):
+    return SimpleNamespace(prefix=prefix, positives=positives, negatives=negatives)
+
+
 class TestSessionLoss:
-    def _example(self):
-        return [1, 7, 2], [4, 9, 4], [0, 3, 5]
+    def _batch(self):
+        return [example([1, 7, 2], [4, 9, 4], [0, 3, 5]), example([6], [2], [8])]
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_scalar_and_finite(self, kind):
         model = make_model(seed=6)
-        prefix, pos, neg = self._example()
         cfg = losses.LossConfig(kind=kind)
         tape = ad.Tape()
-        out = losses.session_loss(tape, model, prefix, pos, neg, cfg)
+        out = losses.session_loss(tape, model, self._batch(), cfg)
         assert out.values.shape == ()
         assert np.isfinite(float(out.values))
 
     def test_ncas_accepts_duplicate_positives(self):
         model = make_model(seed=6)
         tape = ad.Tape()
-        out = losses.session_loss(tape, model, [1, 2], [4, 4], [0, 3],
+        out = losses.session_loss(tape, model, [example([1, 2], [4, 4], [0, 3])],
                                   losses.LossConfig(kind="NCAS"))
         assert np.isfinite(float(out.values))
 
     def test_mismatched_pairs_rejected(self):
         model = make_model()
-        with pytest.raises(ValueError):
-            losses.session_loss(ad.Tape(), model, [1], [2, 3], [4],
-                                losses.LossConfig())
+        for bad in (example([1], [2, 3], [4]), example([1], [], [])):
+            with pytest.raises(ValueError):
+                losses.session_loss(ad.Tape(), model, [example([1], [2], [3]), bad],
+                                    losses.LossConfig())
+        with pytest.raises(ValueError, match="empty"):
+            losses.session_loss(ad.Tape(), model, [], losses.LossConfig())
 
     def test_position_weighting_changes_value(self):
         model = make_model(seed=8)
-        prefix, pos, neg = self._example()
         with_w = losses.session_loss(
-            ad.Tape(), model, prefix, pos, neg,
+            ad.Tape(), model, self._batch(),
             losses.LossConfig(kind="BPR", position_weighting=True))
         without = losses.session_loss(
-            ad.Tape(), model, prefix, pos, neg,
+            ad.Tape(), model, self._batch(),
             losses.LossConfig(kind="BPR", position_weighting=False))
         assert float(with_w.values) < float(without.values)
 
@@ -277,7 +335,25 @@ def test_gru_tape_size_does_not_grow_with_prefix_length(kind):
     counts = set()
     for length in range(1, model.config.max_session_length + 1):
         tape = ad.Tape()
-        losses.session_loss(tape, model, list(range(length)), [11, 12], [13, 14], cfg)
+        losses.session_loss(tape, model, [example(list(range(length)), [11, 12], [13, 14])],
+                            cfg)
+        counts.add(len(tape.nodes))
+    assert len(counts) == 1, sorted(counts)
+
+
+@pytest.mark.parametrize("encoder", ["MaxPool", "AvgPool", "GRU", "TextCNN"])
+@pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+def test_tape_size_does_not_grow_with_batch_size(encoder, kind):
+    """A batch is one graph: its node count does not depend on how many
+    examples it holds."""
+    model = make_model(kind=encoder, vocab=20, dim=8, seed=4)
+    cfg = losses.LossConfig(kind=kind)
+    counts = set()
+    for size in (1, 2, 7):
+        batch = [example(list(range(1 + i % 8)), [11 + i % 3, 12], [13, 14 + i % 5])
+                 for i in range(size)]
+        tape = ad.Tape()
+        losses.session_loss(tape, model, batch, cfg)
         counts.add(len(tape.nodes))
     assert len(counts) == 1, sorted(counts)
 
@@ -328,15 +404,41 @@ def test_loss_gradients_through_full_encoder(kind, cfg_kwargs):
     loss_cfg = losses.LossConfig(kind=kind, **cfg_kwargs)
 
     def loss_fn(tape, model):
-        return losses.session_loss(tape, model, [0, 5, 2], [3, 6], [1, 7], loss_cfg)
+        batch = [example([0, 5, 2], [3, 6], [1, 7]), example([4], [3], [0])]
+        return losses.session_loss(tape, model, batch, loss_cfg)
 
     params, build = encoder_loss_builder(cfg, loss_fn)
-    assert ad.grad_check(build, params) < 1e-3
+    assert grad_check(build, params) < 1e-3
+
+
+@pytest.mark.parametrize("encoder", ["MaxPool", "AvgPool", "GRU", "TextCNN"])
+@pytest.mark.parametrize("cfg_kwargs", [
+    {"kind": "Triplet", "use_swap": True},
+    {"kind": "Contrastive"},
+    {"kind": "NCAS"},
+], ids=lambda kw: kw["kind"])
+def test_batch_gradients_through_every_encoder(encoder, cfg_kwargs):
+    # ragged lengths (1 and the full window) and positive counts, a repeated
+    # positive and a candidate shared between examples
+    cfg = encoders.ModelConfig(vocab_size=8, embedding_dim=4, encoder_kind=encoder,
+                               max_session_length=4, conv_filter_sizes=(1, 2))
+    loss_cfg = losses.LossConfig(**cfg_kwargs)
+    batch = [example([0, 5, 2, 6, 1], [3, 6, 3], [1, 7, 2]), example([4], [3], [0]),
+             example([2, 7], [5, 1], [4, 6])]
+
+    def loss_fn(tape, model):
+        return losses.session_loss(tape, model, batch, loss_cfg)
+
+    # a smaller step than the default: the recurrent graphs curve enough for
+    # the default's truncation error to reach the tolerance
+    params, build = encoder_loss_builder(cfg, loss_fn)
+    assert grad_check(build, params, h=1e-4) < 1e-3
 
 
 # ---------------------------------------------------------------------------
 # float64 oracle: the whole per-example objective recomputed in numpy, one
-# candidate and one position at a time, straight from the parameters
+# candidate and one position at a time, straight from the parameters, and
+# averaged over the batch
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x):
@@ -344,11 +446,25 @@ def _sigmoid(x):
 
 
 def numpy_session_vector(model, prefix):
-    """MaxPool or GRU session encoding in float64."""
+    """Session encoding in float64, for every encoder kind."""
     cfg = model.config
-    x = model.session_table.values.astype(np.float64)[list(prefix)]
+    prefix = list(prefix)[-cfg.max_session_length:]
+    x = model.session_table.values.astype(np.float64)[prefix]
     if cfg.encoder_kind == "MaxPool":
         core = x.max(axis=0)
+    elif cfg.encoder_kind == "AvgPool":
+        core = x.mean(axis=0)
+    elif cfg.encoder_kind == "TextCNN":
+        padded = np.zeros((cfg.max_session_length, cfg.embedding_dim))
+        padded[:len(prefix)] = x
+        parts = []
+        for k in cfg.conv_filter_sizes:
+            filters, bias = (t.values.astype(np.float64) for t in model.convs[k])
+            # only windows that start on a real item are pooled
+            starts = range(min(len(prefix), cfg.max_session_length - k + 1))
+            parts.append(np.max([sum(padded[p + a] @ filters[a] for a in range(k)) + bias
+                                 for p in starts], axis=0))
+        core = np.concatenate(parts)
     else:
         g = {name: getattr(model.gru, name).values.astype(np.float64)
              for name in ("w_update", "u_update", "b_update", "w_reset",
@@ -421,23 +537,33 @@ ORACLE_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("encoder", ["MaxPool", "GRU"])
+def oracle_batches(rng, max_session_length, vocab=20):
+    """Batches that mix prefix lengths 1 to max_session_length + 3, ragged
+    positive counts, repeated positives and candidates shared across
+    examples (positives from the lower half of the vocabulary, negatives
+    from the upper half)."""
+    half = vocab // 2
+    examples = [([1, 7, 2], [4, 9, 4], [0, 13, 15])]  # a repeated positive
+    for length in range(1, max_session_length + 4):
+        prefix = [int(i) for i in rng.integers(0, vocab, size=length)]
+        count = int(rng.integers(1, 6))
+        positives = [int(i) for i in rng.integers(0, half, size=count)]
+        negatives = [int(i) for i in rng.choice(np.arange(half, vocab), size=count,
+                                                replace=False)]
+        examples.append((prefix, positives, negatives))
+    order = rng.permutation(len(examples))
+    examples = [examples[i] for i in order]
+    return [examples[:4], examples[4:]]
+
+
+@pytest.mark.parametrize("encoder", ["MaxPool", "GRU", "AvgPool", "TextCNN"])
 @pytest.mark.parametrize("cfg_kwargs", ORACLE_CONFIGS,
                          ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_session_loss_matches_float64_oracle(encoder, cfg_kwargs):
     model = make_model(kind=encoder, vocab=20, dim=8, seed=13)
     cfg = losses.LossConfig(**cfg_kwargs)
-    rng = np.random.default_rng(17)
-    examples = [([1, 7, 2], [4, 9, 4], [0, 3, 5])]  # a repeated positive
-    for _ in range(6):
-        prefix = [int(i) for i in rng.integers(0, 20, size=int(rng.integers(1, 7)))]
-        count = int(rng.integers(1, 6))
-        positives = [int(i) for i in rng.integers(0, 10, size=count)]
-        negatives = [int(i) for i in rng.choice(np.arange(10, 20), size=count,
-                                                replace=False)]
-        examples.append((prefix, positives, negatives))
-    for prefix, positives, negatives in examples:
-        got = float(losses.session_loss(ad.Tape(), model, prefix, positives,
-                                        negatives, cfg).values)
-        want = numpy_session_loss(model, prefix, positives, negatives, cfg)
-        assert got == pytest.approx(want, abs=1e-5), (prefix, positives, negatives)
+    for batch in oracle_batches(np.random.default_rng(17), model.config.max_session_length):
+        got = float(losses.session_loss(ad.Tape(), model,
+                                        [example(*ex) for ex in batch], cfg).values)
+        want = np.mean([numpy_session_loss(model, *ex, cfg) for ex in batch])
+        assert got == pytest.approx(want, abs=1e-5), batch

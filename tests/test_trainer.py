@@ -141,9 +141,9 @@ class TestTrainLoop:
         seen = []
         session_loss = losses.session_loss
 
-        def spy(tape, model, prefix, *args):
-            seen.append(list(prefix))
-            return session_loss(tape, model, prefix, *args)
+        def spy(tape, model, examples, cfg):
+            seen.extend(list(ex.prefix) for ex in examples)
+            return session_loss(tape, model, examples, cfg)
 
         monkeypatch.setattr(losses, "session_loss", spy)
         result = trainer.train(corpus, model, sampler_cfg=sampler,
@@ -218,6 +218,37 @@ class TestTrainLoop:
         model = make_model(vocab=12, dim=8, seed=0)
         with pytest.raises(ValueError):
             trainer.train(corpus, model, train_cfg=quick_cfg())
+
+
+def _one_epoch(encoder, loss_cfg, sampler_cfg):
+    corpus = synth.cycle_sessions(n_sessions=40, vocab_size=30, min_length=2,
+                                  max_length=14, seed=5)
+    model = make_model(kind=encoder, vocab=30, dim=8, seed=1, max_session_length=10)
+    result = trainer.train(corpus, model, loss_cfg=loss_cfg, sampler_cfg=sampler_cfg,
+                           train_cfg=quick_cfg(max_epochs=1, batch_size=8))
+    assert len(result.history) == 1
+    assert np.isfinite(result.history[0].train_loss)
+
+
+@pytest.mark.parametrize("strategy", sampling.STRATEGIES)
+@pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+@pytest.mark.parametrize("encoder", ["MaxPool", "AvgPool", "GRU", "TextCNN"])
+def test_every_encoder_loss_and_strategy_trains(encoder, kind, strategy):
+    # sessions up to 14 items against a 10-item window, ragged batches
+    _one_epoch(encoder, losses.LossConfig(kind=kind),
+               sampling.SamplerConfig(strategy=strategy, samples_per_session=3,
+                                      window_size=12, rng_seed=2))
+
+
+@pytest.mark.parametrize("loss_kwargs,sampler_kwargs", [
+    ({"kind": "Triplet", "use_swap": True}, {}),
+    ({"kind": "NCAS"}, {"knn_augment": True, "knn_k": 3}),
+    ({"kind": "Triplet"}, {"exclude_prefix_negatives": True}),
+], ids=["use_swap", "knn_augment", "exclude_prefix_negatives"])
+def test_training_options_train(loss_kwargs, sampler_kwargs):
+    _one_epoch("GRU", losses.LossConfig(**loss_kwargs),
+               sampling.SamplerConfig(samples_per_session=3, rng_seed=2,
+                                      **sampler_kwargs))
 
 
 class TestLossMakesProgress:
