@@ -202,20 +202,20 @@ def encode_session(model: Model, prefix, tape: ad.Tape | None = None) -> ad.Tens
     return _encode(model, prefix, length, tape)
 
 
-def encode_sessions(model: Model, prefixes, tape: ad.Tape | None = None) -> ad.Tensor:
-    """``[B, d]``: row i equals ``encode_session(prefixes[i])`` up to float
-    rounding.  The windowed prefixes are right-padded into one ``[B, T]``
-    index matrix and encoded with a length vector."""
-    windows = [list(p)[-model.config.max_session_length:] for p in prefixes]
-    if not windows or not all(windows):
+def encode_sessions(model: Model, prefixes: np.ndarray, lengths: np.ndarray,
+                    tape: ad.Tape | None = None) -> ad.Tensor:
+    """``[B, d]``: row i equals ``encode_session(prefixes[i, :lengths[i]])``
+    up to float rounding.  Each row's last ``max_session_length`` items are
+    gathered into one ``[B, T]`` matrix, encoded with a length vector."""
+    if not len(lengths) or lengths.min() < 1:
         raise ValueError("prefix is empty")
-    lengths = np.array([len(w) for w in windows])
+    window = np.minimum(lengths, model.config.max_session_length)
     width = (model.config.max_session_length if model.config.encoder_kind == "TextCNN"
-             else lengths.max())
-    indices = np.full((len(windows), width), -1)
-    for row, window in zip(indices, windows):
-        row[:len(window)] = window
-    return _encode(model, indices, lengths, tape)
+             else window.max())
+    live = np.arange(width) < window[:, None]
+    columns = np.where(live, (lengths - window)[:, None] + np.arange(width), 0)
+    indices = np.where(live, np.take_along_axis(prefixes, columns, axis=1), -1)
+    return _encode(model, indices, window, tape)
 
 
 def _encode(model: Model, indices, lengths, tape: ad.Tape | None) -> ad.Tensor:

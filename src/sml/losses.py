@@ -1,8 +1,8 @@
 """Ranking losses expressed over cosine distances.
 
-Training scores a whole mini-batch at once (:func:`session_loss`): one
-loss node over a ``[B, K]`` distance matrix, with the position weights
-sqrt(1/(1+j)), the batch mean and a mask for ragged counts folded in.  Each
+Training scores a block of examples at once (:func:`session_loss`): one
+loss node over a ``[B, 2P]`` distance matrix, with the position weights
+sqrt(1/(1+j)), the batch mean and a mask for padding folded in.  Each
 loss computes its value and its derivative with respect to the distances
 in numpy.  The pairwise losses are minimised when positives (observed next
 items) are pulled close and sampled negatives pushed away; they are also
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import encoders
+from . import encoders, sampling
 
 LOSS_KINDS = ("Triplet", "BPR", "TOP1", "Contrastive", "NCAS")
 
@@ -180,48 +180,33 @@ def ncas_from_distances(tape, dists: ad.Tensor, positive_flags,
                     (slope / value.size,))
 
 
-def session_loss(tape, model: encoders.Model, examples, cfg: LossConfig) -> ad.Tensor:
-    """Mean loss of a mini-batch of examples (``prefix`` and paired
-    ``positives`` and ``negatives``), as one tape graph.
+def session_loss(tape, model: encoders.Model, batch: sampling.Examples,
+                 cfg: LossConfig) -> ad.Tensor:
+    """Mean loss of a block of training examples, as one tape graph.
 
-    One :func:`encoders.encode_sessions` call, one :func:`encoders.encode_items`
-    call on the batch's distinct candidates, and one ``[B, K]`` distance
-    matrix gathered by slot feed one loss node.  For NCAS a row's slots are
-    its distinct candidates, positives first, so a repeated positive adds
-    nothing to the set-softmax target; for the pairwise losses a row holds
-    its positives, then its negatives, each padded to the longest list.
+    One :func:`encoders.encode_sessions` call on the prefix matrix, one
+    :func:`encoders.encode_items` call on the distinct candidates, and one
+    ``[B, 2P]`` distance matrix (positives, then negatives) feed one loss
+    node.  Padding slots weigh nothing; NCAS also masks repeated positives.
     """
-    if not examples or any(not ex.positives or len(ex.positives) != len(ex.negatives)
-                           for ex in examples):
-        raise ValueError("a batch needs examples, each with paired, non-empty "
-                         "positives and negatives")
-
-    fill = examples[0].positives[0]  # padding slots repeat a real candidate
-    if cfg.kind == "NCAS":
-        rows = [list(dict.fromkeys(ex.positives + ex.negatives)) for ex in examples]
-    else:
-        counts = np.array([len(ex.positives) for ex in examples])
-        width = int(counts.max())
-        rows = [ex.positives + [fill] * (width - len(ex.positives)) + ex.negatives
-                for ex in examples]
-    ids = np.full((len(rows), max(len(row) for row in rows)), fill)
-    for row, candidates in zip(ids, rows):
-        row[:len(candidates)] = candidates
-    items, slots = np.unique(ids, return_inverse=True)
+    if not len(batch):
+        raise ValueError("a batch needs at least one example")
+    width = batch.positives.shape[1]
+    ids = np.concatenate([batch.positives, batch.negatives], axis=1)
+    # padding slots gather a real candidate, which their zero weight ignores
+    items, slots = np.unique(np.where(ids >= 0, ids, ids[0, 0]), return_inverse=True)
     slots = slots.reshape(ids.shape)
 
-    sessions = encoders.encode_sessions(model, [ex.prefix for ex in examples], tape)
+    sessions = encoders.encode_sessions(model, batch.prefixes, batch.lengths, tape)
     item_vecs = encoders.encode_items(model, items, tape)
     dists = ad.cosine_distance(tape, item_vecs, sessions, slots)
     if cfg.kind == "NCAS":
-        column = np.arange(ids.shape[1])
-        n_pos = np.array([len(set(ex.positives)) for ex in examples])
-        n_cand = np.array([len(row) for row in rows])
-        return ncas_from_distances(tape, dists, column < n_pos[:, None], cfg.epsilon,
-                                   cfg.kld_model_first, column < n_cand[:, None])
+        keep = sampling.unseen(ids)
+        return ncas_from_distances(tape, dists, keep & (np.arange(2 * width) < width),
+                                   cfg.epsilon, cfg.kld_model_first, keep)
 
     dist_pos, dist_neg = dists.values[:, :width], dists.values[:, width:]
-    weights = (np.arange(width) < counts[:, None]) / len(examples)
+    weights = (batch.positives >= 0) / len(batch)
     if cfg.position_weighting:
         weights = weights * [position_weight(j) for j in range(width)]
     inputs = (dists,)

@@ -1,6 +1,6 @@
 """Mini-batch training loop with validation-driven learning-rate decay.
 
-Each epoch samples fresh examples and walks them in batches of
+Each epoch samples fresh examples and walks them in row slices of
 ``batch_size``: one :func:`losses.session_loss` call builds one tape graph
 for the whole batch and returns its mean loss, and one Adam step follows.
 After every epoch the recall@eval_n of the current model on a held-out
@@ -120,6 +120,7 @@ def train(train_data: Dataset, model: Model,
 
     grad_data, val_data = split_validation(train_data,
                                            train_cfg.validation_fraction)
+    sampling.check_negatives(grad_data, sampler_cfg)
     lr = train_cfg.learning_rate
     reductions = 0
     best_arrays = _snapshot(model)

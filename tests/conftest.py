@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sml import autodiff as ad
-from sml import encoders
+from sml import encoders, sampling
 
 
 def make_model(kind="MaxPool", vocab=12, dim=8, seed=0, **overrides):
@@ -44,3 +44,27 @@ def numpy_item_vectors(model, items):
     if model.config.normalize_outputs:
         vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs
+
+
+def padded(rows) -> np.ndarray:
+    """Index lists as one matrix, right-padded with -1."""
+    out = np.full((len(rows), max([1, *map(len, rows)])), -1)
+    for row, items in zip(out, rows):
+        row[:len(items)] = items
+    return out
+
+
+def make_examples(rows) -> sampling.Examples:
+    """An examples block from (prefix, positives, negatives) lists."""
+    prefixes, positives, negatives = zip(*rows)
+    return sampling.Examples(padded(prefixes), np.array([len(p) for p in prefixes]),
+                             padded(positives), padded(negatives))
+
+
+def example_rows(examples: sampling.Examples):
+    """The (prefix, positives, negatives) lists of an examples block."""
+    def unpad(row):
+        return [int(i) for i in row if i >= 0]
+    return [(unpad(examples.prefixes[i, :examples.lengths[i]]),
+             unpad(examples.positives[i]), unpad(examples.negatives[i]))
+            for i in range(len(examples))]

@@ -284,6 +284,21 @@ class TestTrain:
         _, vocab = index.load_model(str(tmp_path / "model.bin"))
         assert "lonely" not in vocab and len(vocab) == 8
 
+    @pytest.mark.parametrize("sessions,flags,cause", [
+        ([["a", "a"], ["a", "a", "a"]], {}, "at least two"),
+        ([["a", "b"], ["b", "a"], ["a", "b", "a"]], {"--exclude-prefix-negatives": True},
+         "covers the vocabulary"),
+    ], ids=["one_item_vocabulary", "prefix_covers_the_vocabulary"])
+    def test_vocabulary_without_negatives_is_data_error(
+            self, tmp_path, monkeypatch, capsys, sessions, flags, cause):
+        write_sessions_jsonl(tmp_path / "train.jsonl", sessions)
+        calls = []
+        monkeypatch.setattr(ad, "adam_step", lambda *a, **k: calls.append("adam_step"))
+        assert main(train_args(tmp_path, **flags)) == 2
+        assert cause in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "model.bin").exists()
+
     def test_invalid_flag_combination_is_usage_error(self, tmp_path, corpus_csv):
         out_dir = run_preprocess(tmp_path, corpus_csv)
         # a conv filter wider than the session window is contradictory

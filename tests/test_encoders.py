@@ -1,8 +1,6 @@
 """Encoder structure, determinism, normalisation and padding behaviour."""
 
 import dataclasses
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from hypothesis import strategies as st
 from sml import autodiff as ad
 from sml import encoders, losses
 
-from conftest import make_model, numpy_item_vectors
+from conftest import make_examples, make_model, numpy_item_vectors, padded
 from tape_ops import grad_check, mul, reduce_sum
 
 
@@ -171,11 +169,10 @@ class TestEncode:
             for _ in range(int(rng.integers(1, 9))):
                 count = int(rng.integers(1, 9))
                 items = rng.choice(50, size=2 * count, replace=False)
-                batch.append(SimpleNamespace(prefix=[int(rng.integers(0, 50))],
-                                             positives=[int(i) for i in items[:count]],
-                                             negatives=[int(i) for i in items[count:]]))
+                batch.append(([int(rng.integers(0, 50))], items[:count], items[count:]))
             kind = ("Triplet", "NCAS")[len(encoded) % 2]
-            losses.session_loss(ad.Tape(), model, batch, losses.LossConfig(kind=kind))
+            losses.session_loss(ad.Tape(), model, make_examples(batch),
+                                losses.LossConfig(kind=kind))
         assert len(encoded) == 20
         for items, vecs in encoded:
             np.testing.assert_array_equal(matrix[items], vecs)
@@ -203,7 +200,8 @@ class TestEncode:
         rng = np.random.default_rng(8)
         prefixes = [[int(i) for i in rng.integers(0, 12, size=n)] for n in range(1, 10)]
         prefixes.append([3, 3, 3])
-        batch = encoders.encode_sessions(model, prefixes).values
+        batch = encoders.encode_sessions(model, padded(prefixes),
+                                         np.array([len(p) for p in prefixes])).values
         assert batch.shape == (len(prefixes), 8)
         for row, prefix in zip(batch, prefixes):
             np.testing.assert_allclose(row, encoders.encode_session(model, prefix).values,
@@ -213,7 +211,8 @@ class TestEncode:
         model = make_model()
         for prefixes in ([], [[1], []]):
             with pytest.raises(ValueError, match="empty"):
-                encoders.encode_sessions(model, prefixes)
+                encoders.encode_sessions(model, padded(prefixes),
+                                         np.array([len(p) for p in prefixes], dtype=int))
 
 
 class TestScore:
@@ -261,7 +260,9 @@ def test_batch_session_encoder_gradients(kind):
     target = ad.constant(np.arange(12, dtype=np.float64).reshape(3, 4) / 12.0 - 0.4)
 
     def loss_fn(tape, model):
-        vecs = encoders.encode_sessions(model, [[1, 7, 2], [4], [8, 0, 3, 5, 6, 2]], tape)
+        prefixes = [[1, 7, 2], [4], [8, 0, 3, 5, 6, 2]]
+        vecs = encoders.encode_sessions(model, padded(prefixes),
+                                        np.array([len(p) for p in prefixes]), tape)
         return reduce_sum(tape, mul(tape, vecs, target))
 
     params, build = encoder_loss_builder(cfg, loss_fn)

@@ -1,7 +1,6 @@
 """Loss identities, gradient directions, and checks through encoder graphs."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sml import autodiff as ad
-from sml import encoders, losses
+from sml import encoders, losses, sampling
 
-from conftest import encoder_loss_builder, make_model, numpy_item_vectors
+from conftest import (encoder_loss_builder, make_examples, make_model, numpy_item_vectors,
+                      padded)
 from tape_ops import add, grad_check, mul
 
 
@@ -283,13 +283,9 @@ class TestNcas:
         assert float(out.values) >= -1e-9
 
 
-def example(prefix, positives, negatives):
-    return SimpleNamespace(prefix=prefix, positives=positives, negatives=negatives)
-
-
 class TestSessionLoss:
     def _batch(self):
-        return [example([1, 7, 2], [4, 9, 4], [0, 3, 5]), example([6], [2], [8])]
+        return make_examples([([1, 7, 2], [4, 9, 4], [0, 3, 5]), ([6], [2], [8])])
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
     def test_scalar_and_finite(self, kind):
@@ -303,18 +299,21 @@ class TestSessionLoss:
     def test_ncas_accepts_duplicate_positives(self):
         model = make_model(seed=6)
         tape = ad.Tape()
-        out = losses.session_loss(tape, model, [example([1, 2], [4, 4], [0, 3])],
+        out = losses.session_loss(tape, model, make_examples([([1, 2], [4, 4], [0, 3])]),
                                   losses.LossConfig(kind="NCAS"))
         assert np.isfinite(float(out.values))
 
     def test_mismatched_pairs_rejected(self):
-        model = make_model()
-        for bad in (example([1], [2, 3], [4]), example([1], [], [])):
+        # the examples block checks its rows; the loss takes no empty block
+        for bad in (([1], [2, 3], [4]), ([1], [], []), ([], [2], [3])):
             with pytest.raises(ValueError):
-                losses.session_loss(ad.Tape(), model, [example([1], [2], [3]), bad],
-                                    losses.LossConfig())
-        with pytest.raises(ValueError, match="empty"):
-            losses.session_loss(ad.Tape(), model, [], losses.LossConfig())
+                make_examples([([1], [2], [3]), bad])
+        with pytest.raises(ValueError, match="paired"):
+            sampling.Examples(padded([[1]]), np.array([1]), padded([[2, 3]]),
+                              padded([[4, -1]]))
+        with pytest.raises(ValueError, match="at least one example"):
+            losses.session_loss(ad.Tape(), make_model(), self._batch()[2:],
+                                losses.LossConfig())
 
     def test_position_weighting_changes_value(self):
         model = make_model(seed=8)
@@ -335,8 +334,8 @@ def test_gru_tape_size_does_not_grow_with_prefix_length(kind):
     counts = set()
     for length in range(1, model.config.max_session_length + 1):
         tape = ad.Tape()
-        losses.session_loss(tape, model, [example(list(range(length)), [11, 12], [13, 14])],
-                            cfg)
+        losses.session_loss(tape, model,
+                            make_examples([(list(range(length)), [11, 12], [13, 14])]), cfg)
         counts.add(len(tape.nodes))
     assert len(counts) == 1, sorted(counts)
 
@@ -350,8 +349,8 @@ def test_tape_size_does_not_grow_with_batch_size(encoder, kind):
     cfg = losses.LossConfig(kind=kind)
     counts = set()
     for size in (1, 2, 7):
-        batch = [example(list(range(1 + i % 8)), [11 + i % 3, 12], [13, 14 + i % 5])
-                 for i in range(size)]
+        batch = make_examples([(list(range(1 + i % 8)), [11 + i % 3, 12], [13, 14 + i % 5])
+                               for i in range(size)])
         tape = ad.Tape()
         losses.session_loss(tape, model, batch, cfg)
         counts.add(len(tape.nodes))
@@ -404,7 +403,7 @@ def test_loss_gradients_through_full_encoder(kind, cfg_kwargs):
     loss_cfg = losses.LossConfig(kind=kind, **cfg_kwargs)
 
     def loss_fn(tape, model):
-        batch = [example([0, 5, 2], [3, 6], [1, 7]), example([4], [3], [0])]
+        batch = make_examples([([0, 5, 2], [3, 6], [1, 7]), ([4], [3], [0])])
         return losses.session_loss(tape, model, batch, loss_cfg)
 
     params, build = encoder_loss_builder(cfg, loss_fn)
@@ -423,8 +422,8 @@ def test_batch_gradients_through_every_encoder(encoder, cfg_kwargs):
     cfg = encoders.ModelConfig(vocab_size=8, embedding_dim=4, encoder_kind=encoder,
                                max_session_length=4, conv_filter_sizes=(1, 2))
     loss_cfg = losses.LossConfig(**cfg_kwargs)
-    batch = [example([0, 5, 2, 6, 1], [3, 6, 3], [1, 7, 2]), example([4], [3], [0]),
-             example([2, 7], [5, 1], [4, 6])]
+    batch = make_examples([([0, 5, 2, 6, 1], [3, 6, 3], [1, 7, 2]), ([4], [3], [0]),
+                           ([2, 7], [5, 1], [4, 6])])
 
     def loss_fn(tape, model):
         return losses.session_loss(tape, model, batch, loss_cfg)
@@ -563,7 +562,7 @@ def test_session_loss_matches_float64_oracle(encoder, cfg_kwargs):
     model = make_model(kind=encoder, vocab=20, dim=8, seed=13)
     cfg = losses.LossConfig(**cfg_kwargs)
     for batch in oracle_batches(np.random.default_rng(17), model.config.max_session_length):
-        got = float(losses.session_loss(ad.Tape(), model,
-                                        [example(*ex) for ex in batch], cfg).values)
+        got = float(losses.session_loss(ad.Tape(), model, make_examples(batch),
+                                        cfg).values)
         want = np.mean([numpy_session_loss(model, *ex, cfg) for ex in batch])
         assert got == pytest.approx(want, abs=1e-5), batch

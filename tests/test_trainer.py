@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sml import autodiff as ad
 from sml import data, losses, sampling, synth, trainer
 from conftest import make_model
 from test_baselines import make_dataset
@@ -141,16 +142,73 @@ class TestTrainLoop:
         seen = []
         session_loss = losses.session_loss
 
-        def spy(tape, model, examples, cfg):
-            seen.extend(list(ex.prefix) for ex in examples)
-            return session_loss(tape, model, examples, cfg)
+        def spy(tape, model, batch, cfg):
+            seen.extend(batch.lengths)
+            return session_loss(tape, model, batch, cfg)
 
         monkeypatch.setattr(losses, "session_loss", spy)
         result = trainer.train(corpus, model, sampler_cfg=sampler,
                                train_cfg=quick_cfg(max_epochs=2))
         assert all(np.isfinite(r.train_loss) for r in result.history)
         # the encoder keeps each prefix's last 4 items itself
-        assert max(len(p) for p in seen) > 4
+        assert max(seen) > 4
+
+    @pytest.mark.parametrize("strategy", sampling.STRATEGIES)
+    def test_one_sampler_call_per_epoch_and_one_loss_call_per_batch(
+            self, monkeypatch, strategy):
+        # what the benchmark's trace reads: build_epoch's len() counts the
+        # examples, and each session_loss call is one batch of them
+        corpus = synth.cycle_sessions(n_sessions=40, vocab_size=30, min_length=2,
+                                      max_length=9, seed=3)
+        calls = []
+        build_epoch, session_loss = sampling.build_epoch, losses.session_loss
+
+        def epoch_spy(dataset, cfg, epoch, model=None):
+            examples = build_epoch(dataset, cfg, epoch, model)
+            calls.append(("epoch", len(examples)))
+            return examples
+
+        def loss_spy(tape, model, batch, cfg):
+            calls.append(("batch", len(batch)))
+            return session_loss(tape, model, batch, cfg)
+
+        monkeypatch.setattr(sampling, "build_epoch", epoch_spy)
+        monkeypatch.setattr(losses, "session_loss", loss_spy)
+        model = make_model(vocab=30, dim=8)
+        trainer.train(corpus, model,
+                      sampler_cfg=sampling.SamplerConfig(strategy=strategy, rng_seed=1),
+                      train_cfg=quick_cfg(max_epochs=2, batch_size=7))
+        starts = [i for i, (kind, _) in enumerate(calls) if kind == "epoch"]
+        assert len(starts) == 2 and starts[0] == 0
+        for start, end in zip(starts, starts[1:] + [len(calls)]):
+            size = calls[start][1]
+            batches = [n for _, n in calls[start + 1:end]]
+            assert sum(batches) == size
+            assert batches == [7] * (size // 7) + ([size % 7] if size % 7 else [])
+
+    @pytest.mark.parametrize("strategy", sampling.STRATEGIES)
+    def test_array_widths_come_from_the_data(self, monkeypatch, strategy):
+        corpus = synth.cycle_sessions(n_sessions=30, vocab_size=40, min_length=2,
+                                      max_length=9, seed=4)
+        blocks = []
+        build_epoch = sampling.build_epoch
+
+        def spy(dataset, cfg, epoch, model=None):
+            blocks.append((dataset, build_epoch(dataset, cfg, epoch, model)))
+            return blocks[-1][1]
+
+        monkeypatch.setattr(sampling, "build_epoch", spy)
+        sampler = sampling.SamplerConfig(strategy=strategy, samples_per_session=10 ** 6,
+                                         window_size=10 ** 6, rng_seed=0)
+        result = trainer.train(corpus, make_model(vocab=40, dim=8), sampler_cfg=sampler,
+                               train_cfg=quick_cfg(max_epochs=1))
+        assert np.isfinite(result.history[0].train_loss)
+        [(dataset, examples)] = blocks
+        longest = max(len(s) for s in dataset.sessions)
+        assert examples.prefixes.shape[1] == examples.lengths.max() <= longest - 1
+        widest = (examples.positives >= 0).sum(axis=1).max()
+        assert examples.positives.shape == examples.negatives.shape
+        assert examples.positives.shape[1] == widest <= longest - 1
 
     def test_validation_sessions_never_reach_the_sampler(self, monkeypatch):
         corpus = small_corpus()
@@ -252,13 +310,27 @@ def test_training_options_train(loss_kwargs, sampler_kwargs):
 
 
 class TestLossMakesProgress:
-    def test_loss_strictly_decreases_on_rule_data(self):
+    def test_loss_strictly_decreases_on_rule_data(self, monkeypatch):
+        # the loss of one fixed block -- every cut of the gradient sessions --
+        # after each epoch: an epoch's own training loss also moves with the
+        # cuts and negatives it happened to draw
         corpus = synth.cycle_sessions(n_sessions=60, vocab_size=20,
                                       min_length=3, max_length=6, seed=7)
         model = make_model(vocab=20, dim=16, seed=1, max_session_length=8)
-        result = trainer.train(
-            corpus, model,
-            loss_cfg=losses.LossConfig(kind="Triplet"),
+        loss_cfg = losses.LossConfig(kind="Triplet")
+        grad, _ = trainer.split_validation(corpus, 0.05)
+        block = sampling.build_epoch(grad, sampling.SamplerConfig(
+            strategy="sliding_window", window_size=8, samples_per_session=4), epoch=0)
+        seq = []
+        validate = trainer.validate
+
+        def spy(model, val_sessions, n=20):
+            seq.append(float(losses.session_loss(ad.Tape(), model, block, loss_cfg).values))
+            return validate(model, val_sessions, n)
+
+        monkeypatch.setattr(trainer, "validate", spy)
+        trainer.train(
+            corpus, model, loss_cfg=loss_cfg,
             sampler_cfg=sampling.SamplerConfig(samples_per_session=4,
                                                rng_seed=2),
             # disarm the schedule so all five epochs run at a constant rate
@@ -266,7 +338,6 @@ class TestLossMakesProgress:
                                           validation_fraction=0.05,
                                           lr_decay_factor=1.0,
                                           max_lr_reductions=10))
-        seq = [r.train_loss for r in result.history[:5]]
         assert len(seq) == 5
         assert all(b < a for a, b in zip(seq, seq[1:])), seq
 
