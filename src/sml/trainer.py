@@ -6,10 +6,10 @@ for the whole batch and returns its mean loss, and one Adam step follows.
 After every epoch the recall@eval_n of the current model on a held-out
 chronological tail of the training sessions decides the schedule: an
 epoch that fails to beat the best score by at least
-``improvement_threshold`` (relative) multiplies the learning rate by
-``lr_decay_factor``, and the run stops once that has happened
-``max_lr_reductions`` times.  The returned parameters are the checkpoint
-of the best validation epoch, not necessarily the last one.
+``improvement_threshold`` (relative) stalls, the ``PATIENCE + 1``-th stalled
+epoch in a row multiplies the learning rate by ``lr_decay_factor``, and
+the run stops once that has happened ``max_lr_reductions`` times.  The
+returned parameters are those of the best validation epoch.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ from . import evaluation, losses, sampling
 from .data import Dataset, chronological_split
 from .encoders import Model
 from .index import SmlRecommender
+
+
+# stalled epochs tolerated before a cut (the usual plateau-scheduler value):
+# a small holdout stalls within noise while the training loss still falls
+PATIENCE = 10
 
 
 class DivergenceError(RuntimeError):
@@ -99,11 +104,6 @@ def _snapshot(model: Model) -> dict[str, np.ndarray]:
     return {name: t.values.copy() for name, t in model.params.items()}
 
 
-def _restore(model: Model, arrays: dict[str, np.ndarray]) -> None:
-    for name, tensor in model.params.items():
-        tensor.values = arrays[name].copy()
-
-
 def train(train_data: Dataset, model: Model,
           loss_cfg: losses.LossConfig | None = None,
           sampler_cfg: sampling.SamplerConfig | None = None,
@@ -122,7 +122,7 @@ def train(train_data: Dataset, model: Model,
                                            train_cfg.validation_fraction)
     sampling.check_negatives(grad_data, sampler_cfg)
     lr = train_cfg.learning_rate
-    reductions = 0
+    reductions = stalled = 0
     best_arrays = _snapshot(model)
     result.stop_reason = "max_epochs"
 
@@ -154,15 +154,15 @@ def train(train_data: Dataset, model: Model,
                 result.history.append(EpochRecord(epoch, train_loss, val_rec, lr))
 
                 # schedule: compare against the best score seen BEFORE this epoch
-                improved_enough = (
-                    result.best_epoch < 0
-                    or val_rec > result.best_val * (1.0 + train_cfg.improvement_threshold))
+                bar = result.best_val * (1.0 + train_cfg.improvement_threshold)
+                stalled = 0 if result.best_epoch < 0 or val_rec > bar else stalled + 1
                 if val_rec > result.best_val or result.best_epoch < 0:
                     result.best_val = val_rec
                     result.best_epoch = epoch
                     best_arrays = _snapshot(model)
 
-                if not improved_enough:
+                if stalled > PATIENCE:
+                    stalled = 0
                     lr *= train_cfg.lr_decay_factor
                     reductions += 1
                     if reductions >= train_cfg.max_lr_reductions:
@@ -171,7 +171,8 @@ def train(train_data: Dataset, model: Model,
     except FloatingPointError as exc:
         raise DivergenceError(f"numeric overflow in {where}: {exc}") from exc
 
-    _restore(model, best_arrays)
+    for name, tensor in model.params.items():
+        tensor.values = best_arrays[name]
     return result
 
 

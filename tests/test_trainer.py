@@ -249,9 +249,35 @@ class TestTrainLoop:
             train_cfg=quick_cfg(max_epochs=50, learning_rate=1e-12,
                                 max_lr_reductions=3))
         assert result.stop_reason == "lr_reductions"
-        assert len(result.history) == 4  # first epoch + three failed ones
+        # first epoch + three runs of PATIENCE + 1 stalled ones, each ending
+        # in a cut
+        run = trainer.PATIENCE + 1
+        assert len(result.history) == 1 + 3 * run
         lrs = [r.lr for r in result.history]
-        assert lrs == pytest.approx([1e-12, 1e-12, 1e-13, 1e-14], rel=1e-9)
+        expected = [1e-12] * (1 + run) + [1e-13] * run + [1e-14] * run
+        assert lrs == pytest.approx(expected, rel=1e-9)
+
+    def test_cut_waits_for_patience_and_improvement_resets_it(self, monkeypatch):
+        # scripted validation scores: the rate is cut only on the
+        # (PATIENCE + 1)-th stalled epoch in a row, and an improving epoch
+        # (by more than improvement_threshold) starts the count over
+        p = trainer.PATIENCE
+        scores = [0.5] + [0.5] * p + [0.6] + [0.6] * (p + 1) + [0.6] * (p + 1)
+        it = iter(scores)
+        monkeypatch.setattr(trainer, "validate", lambda *a, **k: next(it))
+        result = trainer.train(
+            small_corpus(), make_model(vocab=12, dim=8, seed=0),
+            sampler_cfg=quick_sampler(),
+            train_cfg=quick_cfg(max_epochs=len(scores), learning_rate=1e-3,
+                                max_lr_reductions=2))
+        assert [r.val_recall for r in result.history] == scores
+        lrs = [r.lr for r in result.history]
+        first = 1 + p + 1 + p + 1   # epoch after the first cut
+        assert lrs[:first] == pytest.approx([1e-3] * first, rel=1e-12)
+        assert lrs[first:] == pytest.approx([1e-4] * (len(scores) - first),
+                                            rel=1e-12)
+        assert result.stop_reason == "lr_reductions"
+        assert result.best_epoch == 1 + p
 
     def test_lr_sequence_never_increases(self):
         model = make_model(vocab=12, dim=8, seed=0)
