@@ -1,11 +1,13 @@
 """Session corpus ingestion, cleaning, and chronological splitting.
 
-The pipeline is: raw event rows -> grouped sessions -> (drop rare items,
-drop short sessions, truncate long sessions) -> dense item vocabulary ->
-chronological train/test split with the test side restricted to the train
-vocabulary.  The cleaning step repeats its three filters until nothing
-changes, so the reported vocabulary counts always describe the corpus that
-is actually returned, and running preprocess on its own output is a no-op.
+The pipeline is: raw event rows -> index arrays sorted by (session, time)
+-> (drop rare items, drop short sessions, truncate long sessions) -> dense
+item vocabulary -> chronological train/test split, each side closed over
+the train vocabulary by :func:`dataset_from_sessions`.  The cleaning step
+repeats its three filters on a mask of live events until the mask stops
+changing, so the reported vocabulary counts always describe the corpus
+that is actually returned, and running preprocess on its own output is a
+no-op.  Vocabularies are in first-appearance order.
 """
 
 from __future__ import annotations
@@ -16,10 +18,15 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, starmap
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
 REQUIRED_COLUMNS = ("session_id", "timestamp", "item_id")
+_NO_FIELDS = (None, None, None)
 
 
 class DataError(Exception):
@@ -30,8 +37,7 @@ class EmptyDatasetError(DataError):
     """Raised when filtering leaves nothing to work with."""
 
 
-@dataclass(frozen=True)
-class RawEvent:
+class RawEvent(NamedTuple):
     session_id: str
     timestamp: int
     item_id: str
@@ -60,7 +66,7 @@ class ItemVocab:
         return item_id in self.index
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     session_id: str
     items: list[int]
@@ -100,70 +106,65 @@ class DatasetStats:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_timestamp(raw) -> int:
+def _event(session_id, timestamp, item_id) -> RawEvent | None:
+    """The event of one row's fields, or None when one is missing or bad."""
+    session_id = "" if session_id is None else str(session_id)
+    item_id = "" if item_id is None else str(item_id)
+    if not session_id or not item_id:
+        return None
     try:
-        return int(raw)
-    except (TypeError, ValueError):
-        return int(float(raw))  # tolerate "12.0"; raises for garbage
+        try:
+            timestamp = int(timestamp)
+        except (TypeError, ValueError):
+            timestamp = int(float(timestamp))  # tolerate "12.0"; raises for garbage
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return RawEvent(session_id, timestamp, item_id)
+
+
+def _csv_fields(handle, path: str):
+    """Each non-blank row's required fields, all None for a row too short to
+    hold them.  A repeated column name reads its last column."""
+    reader = csv.reader(handle)
+    position = {name: k for k, name in enumerate(next(reader, []))}
+    missing = [c for c in REQUIRED_COLUMNS if c not in position]
+    if missing:
+        raise DataError(f"{path}: missing required columns {missing}")
+    s, t, i = (position[c] for c in REQUIRED_COLUMNS)
+    width = max(s, t, i)
+    for row in filter(None, reader):  # a blank line reads as []
+        yield (row[s], row[t], row[i]) if len(row) > width else _NO_FIELDS
+
+
+def _jsonl_fields(handle):
+    """Each non-blank line's required fields, all None for a line that is
+    not a JSON object."""
+    for line in filter(None, map(str.strip, handle)):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        yield tuple(map(obj.get, REQUIRED_COLUMNS)) if isinstance(obj, dict) else _NO_FIELDS
 
 
 def ingest(path: str, fmt: str = "csv") -> list[RawEvent]:
     """Read raw events; malformed rows are skipped with a warning.
 
     More than 10% skipped rows means the file is probably the wrong format
-    and raises :class:`DataError`.
+    and raises :class:`DataError`.  A UTF-8 byte-order mark is ignored.
     """
     if fmt not in ("csv", "jsonl"):
         raise DataError(f"unknown input format {fmt!r}")
-    events: list[RawEvent] = []
-    skipped = 0
-    total = 0
-
-    def push(session_id, timestamp, item_id) -> bool:
-        session_id = "" if session_id is None else str(session_id)
-        item_id = "" if item_id is None else str(item_id)
-        if not session_id or not item_id:
-            return False
-        try:
-            ts = _parse_timestamp(timestamp)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        events.append(RawEvent(session_id, ts, item_id))
-        return True
-
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with handle:
-        if fmt == "csv":
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            missing = [c for c in REQUIRED_COLUMNS if c not in header]
-            if missing:
-                raise DataError(f"{path}: missing required columns {missing}")
-            for row in reader:
-                total += 1
-                if not push(row.get("session_id"), row.get("timestamp"),
-                            row.get("item_id")):
-                    skipped += 1
-        else:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                total += 1
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    skipped += 1
-                    continue
-                if not isinstance(obj, dict) or not push(
-                        obj.get("session_id"), obj.get("timestamp"),
-                        obj.get("item_id")):
-                    skipped += 1
-
+        rows = _csv_fields(handle, path) if fmt == "csv" else _jsonl_fields(handle)
+        parsed = list(starmap(_event, rows))
+    events = [event for event in parsed if event is not None]
+    total, skipped = len(parsed), len(parsed) - len(events)
     if skipped:
         logger.warning("%s: skipped %d of %d malformed rows", path, skipped, total)
     if total and skipped / total > 0.10:
@@ -176,16 +177,19 @@ def ingest(path: str, fmt: str = "csv") -> list[RawEvent]:
 # preprocessing
 # ---------------------------------------------------------------------------
 
-def _group_events(events: list[RawEvent]) -> list[tuple[str, list[tuple[int, str]]]]:
-    """Group by session id (file order) and time-order within each session."""
-    order: dict[str, list[tuple[int, str]]] = {}
-    for ev in events:
-        order.setdefault(ev.session_id, []).append((ev.timestamp, ev.item_id))
-    grouped = []
-    for sid, rows in order.items():
-        rows.sort(key=lambda r: r[0])  # stable: file order breaks ties
-        grouped.append((sid, rows))
-    return grouped
+def _codes(values) -> tuple[np.ndarray, list]:
+    """Integer codes in first-appearance order, and the value of each code."""
+    code: dict = {}
+    return np.array([code.setdefault(v, len(code)) for v in values],
+                    dtype=np.int64), list(code)
+
+
+def _time_key(timestamps) -> np.ndarray:
+    """Timestamps as int64, or as their ranks where some do not fit."""
+    try:
+        return np.array(timestamps, dtype=np.int64)
+    except OverflowError:
+        return np.unique(np.array(timestamps, dtype=object), return_inverse=True)[1]
 
 
 def preprocess(events: list[RawEvent], min_item_count: int = 5,
@@ -193,44 +197,53 @@ def preprocess(events: list[RawEvent], min_item_count: int = 5,
                max_session_length: int = 15) -> Dataset:
     """Clean a raw event stream into a dense, bounded session corpus.
 
-    Each pass drops items rarer than ``min_item_count`` across the whole
-    corpus, then sessions shorter than ``min_session_length``, then truncates
-    sessions to their most recent ``max_session_length`` events.  Passes
-    repeat until stable so the final vocabulary counts are the counts of the
-    returned corpus itself.
+    Sessions keep stream order; events are time-ordered within one, stream
+    order breaking ties.  Each pass drops items rarer than ``min_item_count``
+    across the whole corpus, then sessions shorter than
+    ``min_session_length``, then truncates sessions to their most recent
+    ``max_session_length`` events.  Passes repeat until stable so the final
+    vocabulary counts are the counts of the returned corpus itself.
     """
     if min_session_length < 2:
         raise ValueError("min_session_length must be at least 2")
     if max_session_length < min_session_length:
         raise ValueError("max_session_length must cover min_session_length")
-
-    sessions = _group_events(events)
-    while True:
-        counts = Counter(item for _, rows in sessions for _, item in rows)
-        kept_items = {item for item, c in counts.items() if c >= min_item_count}
-        nxt = []
-        for sid, rows in sessions:
-            rows = [r for r in rows if r[1] in kept_items]
-            if len(rows) < min_session_length:
-                continue
-            nxt.append((sid, rows[-max_session_length:]))
-        if nxt == sessions:
-            break
-        sessions = nxt
-
-    if not sessions:
+    if not events:
         raise EmptyDatasetError("no sessions survive preprocessing")
 
-    vocab = ItemVocab()
-    out = []
-    for sid, rows in sessions:
-        indices = []
-        for ts, item in rows:
-            idx = vocab.add(item)
-            vocab.counts[idx] += 1
-            indices.append(idx)
-        out.append(Session(sid, indices, [ts for ts, _ in rows]))
-    return Dataset(out, vocab)
+    session_ids, timestamps, item_ids = zip(*events)
+    session, session_names = _codes(session_ids)
+    item, item_names = _codes(item_ids)
+    order = np.lexsort((_time_key(timestamps), session))  # stable: stream order breaks ties
+    session, item = session[order], item[order]
+    last = np.cumsum(np.bincount(session)) - 1  # each session's last event
+
+    alive, before = np.ones(len(order), dtype=bool), None
+    while not np.array_equal(alive, before):
+        before = alive.copy()
+        counts = np.bincount(item[alive], minlength=len(item_names))
+        alive &= counts[item] >= min_item_count
+        lengths = np.bincount(session[alive], minlength=len(session_names))
+        alive &= lengths[session] >= min_session_length
+        live_so_far = np.cumsum(alive)
+        alive &= live_so_far[last][session] - live_so_far < max_session_length
+    if not alive.any():
+        raise EmptyDatasetError("no sessions survive preprocessing")
+
+    order, session, item = order[alive], session[alive], item[alive]
+    codes, first, item = np.unique(item, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    item = np.argsort(by_first)[item]  # dense ids in first-appearance order
+    ids = [item_names[c] for c in codes[by_first].tolist()]
+    vocab = ItemVocab(ids, np.bincount(item).tolist(), dict(zip(ids, range(len(ids)))))
+
+    items = item.tolist()
+    stamps = list(map(timestamps.__getitem__, order.tolist()))
+    codes, first = np.unique(session, return_index=True)
+    bounds = first.tolist() + [len(items)]
+    sessions = [Session(session_names[c], items[a:b], stamps[a:b])
+                for c, a, b in zip(codes.tolist(), bounds, bounds[1:])]
+    return Dataset(sessions, vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -255,38 +268,22 @@ def chronological_split(sessions: list[Session],
 def split_train_test(dataset: Dataset, test_fraction: float = 0.1) -> Split:
     """Hold out the chronologically last fraction of sessions for testing.
 
-    The train side gets a fresh dense vocabulary; test items that never occur
-    in train are removed (they could not be recommended, so keeping them
-    would only add unanswerable ground truth), and test sessions left with
-    fewer than two items are dropped.
+    Both sides go through :func:`dataset_from_sessions`: the train side gets
+    a fresh dense vocabulary, and the test side keeps only items in it (the
+    others could not be recommended, so keeping them would only add
+    unanswerable ground truth) and sessions left with two or more of them.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
-    train_sessions, test_sessions = chronological_split(dataset.sessions,
-                                                        test_fraction)
+    ids = dataset.vocab.ids
 
-    train_vocab = ItemVocab()
-    train_out = []
-    for s in train_sessions:
-        indices = []
-        for idx in s.items:
-            new_idx = train_vocab.add(dataset.vocab.ids[idx])
-            train_vocab.counts[new_idx] += 1
-            indices.append(new_idx)
-        train_out.append(Session(s.session_id, indices, list(s.timestamps)))
+    def rows(sessions: list[Session]):
+        return ((s.session_id, list(map(ids.__getitem__, s.items)), s.timestamps)
+                for s in sessions)
 
-    test_out = []
-    for s in test_sessions:
-        pairs = [(train_vocab.index[dataset.vocab.ids[idx]], ts)
-                 for idx, ts in zip(s.items, s.timestamps)
-                 if dataset.vocab.ids[idx] in train_vocab]
-        if len(pairs) < 2:
-            continue
-        test_out.append(Session(s.session_id, [i for i, _ in pairs],
-                                [t for _, t in pairs]))
-    if not test_out:
-        raise EmptyDatasetError("test split empty after vocabulary closure")
-    return Split(Dataset(train_out, train_vocab), Dataset(test_out, train_vocab))
+    train, test = map(rows, chronological_split(dataset.sessions, test_fraction))
+    train = dataset_from_sessions(train)
+    return Split(train, dataset_from_sessions(test, train.vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,7 @@ def write_sessions_jsonl(dataset: Dataset, path: str) -> None:
 def read_sessions_jsonl(path: str) -> list[tuple[str, list[str], list[int]]]:
     rows = []
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with handle:
@@ -354,7 +351,7 @@ def read_sessions_jsonl(path: str) -> list[tuple[str, list[str], list[int]]]:
     return rows
 
 
-def dataset_from_sessions(rows: list[tuple[str, list[str], list[int]]],
+def dataset_from_sessions(rows: Iterable[tuple[str, list[str], list[int]]],
                           vocab: ItemVocab | None = None) -> Dataset:
     """Assemble a Dataset from id-level sessions.
 
@@ -364,25 +361,28 @@ def dataset_from_sessions(rows: list[tuple[str, list[str], list[int]]],
     warning, and its items do not enter a new vocabulary.
     """
     fresh = vocab is None
-    if fresh:
-        vocab = ItemVocab()
+    index = {} if fresh else vocab.index
     sessions = []
     unknown = short = 0
     for sid, items, timestamps in rows:
-        pairs = [(i, t) for i, t in zip(items, timestamps) if fresh or i in vocab]
-        unknown += len(items) - len(pairs)
-        if len(pairs) < 2:
+        if not fresh:
+            known = [item in index for item in items]
+            unknown += known.count(False)
+            items = list(compress(items, known))
+            timestamps = list(compress(timestamps, known))
+        if len(items) < 2:
             short += 1
             continue
-        if fresh:
-            for item, _ in pairs:
-                vocab.counts[vocab.add(item)] += 1
-        sessions.append(Session(sid, [vocab.index[i] for i, _ in pairs],
-                                [t for _, t in pairs]))
+        codes = ([index.setdefault(item, len(index)) for item in items] if fresh
+                 else list(map(index.__getitem__, items)))
+        sessions.append(Session(sid, codes, list(timestamps)))
     if unknown:
         logger.warning("dropped %d events with out-of-vocabulary items", unknown)
     if short:
         logger.warning("dropped %d sessions with fewer than two items", short)
     if not sessions:
         raise EmptyDatasetError("no sessions with two or more usable items")
+    if fresh:
+        counts = np.bincount(list(chain.from_iterable(s.items for s in sessions)))
+        vocab = ItemVocab(list(index), counts.tolist(), index)
     return Dataset(sessions, vocab)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,49 @@ class TestPreprocess:
         src.write_text("session_id,timestamp,item_id\n")
         assert main(["preprocess", "--input", str(src),
                      "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_timestamps_past_int64_keep_their_order_and_digits(self, tmp_path):
+        huge, big = 99999999999999999999999, 2 ** 63
+        src = tmp_path / "events.csv"
+        src.write_text("session_id,timestamp,item_id\n"
+                       f"s1,{huge},x\ns1,-5,y\ns2,{-huge},y\ns1,3,z\n"
+                       f"s2,{2 ** 64},x\ns3,{big},x\ns3,{big - 1},y\n"
+                       f"s3,{-big - 1},z\n")
+        out_dir = tmp_path / "out"
+        assert main(["preprocess", "--input", str(src), "--out-dir", str(out_dir),
+                     "--min-item-count", "1"]) == 0
+
+        def records(name):
+            text = (out_dir / name).read_text()
+            return [json.loads(line) for line in text.splitlines()]
+
+        assert records("train.jsonl") == [
+            {"id": "s2", "items": ["y", "x"], "timestamps": [-huge, 2 ** 64]},
+            {"id": "s3", "items": ["z", "y", "x"],
+             "timestamps": [-big - 1, big - 1, big]},
+        ]
+        assert records("test.jsonl") == [
+            {"id": "s1", "items": ["y", "z", "x"], "timestamps": [-5, 3, huge]}]
+        assert f"[-5, 3, {huge}]" in (out_dir / "test.jsonl").read_text()
+
+    def test_synthetic_corpus_output_digests(self, tmp_path):
+        # sha256 of the files written from the make_synthetic.py default
+        # corpus, recorded before preprocess became array code
+        events = tmp_path / "events.csv"
+        subprocess.run([sys.executable, str(REPO / "scripts" / "make_synthetic.py"),
+                        "--out", str(events)], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        out_dir = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["preprocess", "--input", str(events),
+                         "--out-dir", str(out_dir)]) == 0
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in ("train.jsonl", "test.jsonl", "summary.json")}
+        assert digests == {
+            "train.jsonl": "c5f469e5b7172ae4909901094218ad322cdd2e9c850bf8e47f1e48630ffcceb2",
+            "test.jsonl": "f6460e4d01608ced9c441ec2bdafdb9ab7181f63ede1a3012787ff2041f531d7",
+            "summary.json": "52a7af31211755242c5bff6d0ddb1c387b982a5160d13006fe49a77e84ecf229",
+        }
 
 
 class TestStats:

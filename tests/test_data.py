@@ -1,13 +1,16 @@
 """Ingestion, preprocessing filters, chronological split, stats."""
 
+import csv
 import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sml import data
+
+import reference_preprocess as reference
 
 
 def ev(sid, ts, item):
@@ -321,3 +324,117 @@ def test_preprocess_idempotent(blueprint, min_count, max_len):
     second = data.preprocess(to_events(first), min_item_count=min_count,
                              min_session_length=2, max_session_length=max_len)
     assert first == second
+
+
+# byte-order marks: Excel's "CSV UTF-8" starts the file with one
+
+def test_csv_with_byte_order_mark(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_bytes("session_id,timestamp,item_id\na,1,x\na,2,y\n".encode("utf-8-sig"))
+    assert data.ingest(str(path), "csv") == [ev("a", 1, "x"), ev("a", 2, "y")]
+
+
+def test_jsonl_with_byte_order_mark(tmp_path, caplog):
+    path = tmp_path / "raw.jsonl"
+    rows = [{"session_id": "a", "timestamp": t, "item_id": i} for t, i in ((1, "x"), (2, "y"))]
+    path.write_bytes("".join(json.dumps(r) + "\n" for r in rows).encode("utf-8-sig"))
+    assert data.ingest(str(path), "jsonl") == [ev("a", 1, "x"), ev("a", 2, "y")]
+    assert "skipped" not in caplog.text
+
+
+def test_sessions_jsonl_with_byte_order_mark(tmp_path):
+    path = tmp_path / "sessions.jsonl"
+    record = {"id": "a", "items": ["x", "y"], "timestamps": [1, 2]}
+    path.write_bytes((json.dumps(record) + "\n").encode("utf-8-sig"))
+    assert data.read_sessions_jsonl(str(path)) == [("a", ["x", "y"], [1, 2])]
+
+
+# oracle: the array set-up against the tuple loop it replaced
+
+STAMPS = st.one_of(st.integers(-3, 6),
+                   st.sampled_from([-(2 ** 70), -(2 ** 63) - 1, 2 ** 63, 10 ** 23]))
+
+raw_logs = st.lists(
+    st.tuples(st.integers(0, 6), STAMPS, st.integers(0, 5)),  # session, time, item
+    min_size=6, max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_logs, st.integers(1, 5), st.data())
+def test_preprocess_matches_reference(log, min_count, draw):
+    max_len = draw.draw(st.integers(2, 6))
+    min_len = draw.draw(st.integers(2, max_len))
+    events = [ev(f"s{s}", t, f"i{i}") for s, t, i in log]
+    limits = dict(min_item_count=min_count, min_session_length=min_len,
+                  max_session_length=max_len)
+    try:
+        expected = reference.preprocess(events, **limits)
+    except data.EmptyDatasetError:
+        with pytest.raises(data.EmptyDatasetError):
+            data.preprocess(events, **limits)
+        return
+    got = data.preprocess(events, **limits)
+    assert got == expected
+    assert all(type(i) is int for s in got.sessions for i in s.items)
+    assert all(type(c) is int for c in got.vocab.counts)
+
+
+def _ingest_outcome(ingest, path, caplog):
+    """Events or the error message, and the warnings, of one ingest call."""
+    caplog.clear()
+    try:
+        outcome = ingest(str(path))
+    except data.DataError as exc:
+        outcome = str(exc)
+    return outcome, [r.getMessage() for r in caplog.records]
+
+
+FIELDS = st.sampled_from(["a", "b", "", "x,y", "12.0", " 7 ", "nan", "1e400",
+                          "3", "-2", "oops", '"q"'])
+CSV_ROWS = st.lists(st.one_of(st.lists(FIELDS, max_size=6), st.just(None)),
+                    max_size=30)  # None is a blank line
+HEADERS = st.permutations(["session_id", "timestamp", "item_id", "extra", "item_id"])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(HEADERS, st.integers(3, 5), CSV_ROWS)
+def test_csv_ingest_matches_reference(tmp_path_factory, caplog, header, width, rows):
+    path = tmp_path_factory.mktemp("csv") / "raw.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header[:width])
+        for row in rows:
+            if row is None:
+                handle.write("\r\n")
+            else:
+                writer.writerow(row)
+    assert (_ingest_outcome(data.ingest, path, caplog)
+            == _ingest_outcome(reference.ingest, path, caplog))
+
+
+@pytest.mark.parametrize("good, bad", [(9, 1), (8, 1), (18, 2), (17, 2)])
+def test_refusal_at_ten_percent_matches_reference(tmp_path, caplog, good, bad):
+    path = tmp_path / "raw.csv"
+    path.write_text("session_id,timestamp,item_id\n" + "a,1,x\n" * good + "a,,x\n" * bad)
+    outcome = _ingest_outcome(data.ingest, path, caplog)
+    assert outcome == _ingest_outcome(reference.ingest, path, caplog)
+    assert isinstance(outcome[0], str) == (bad / (good + bad) > 0.10)
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                        st.sampled_from(["", "a", "12.0", " 7 ", "nan", 1e300, 2.5]))
+JSONL_LINES = st.lists(st.one_of(
+    st.fixed_dictionaries({}, optional={c: JSON_VALUES for c in data.REQUIRED_COLUMNS}),
+    st.sampled_from(["", "   ", "[1, 2]", "7", "{broken", '"text"'])), max_size=30)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(JSONL_LINES)
+def test_jsonl_ingest_matches_reference(tmp_path_factory, caplog, lines):
+    path = tmp_path_factory.mktemp("jsonl") / "raw.jsonl"
+    path.write_text("".join((json.dumps(x) if isinstance(x, dict) else x) + "\n"
+                            for x in lines))
+    assert (_ingest_outcome(lambda p: data.ingest(p, "jsonl"), path, caplog)
+            == _ingest_outcome(lambda p: reference.ingest(p, "jsonl"), path, caplog))
