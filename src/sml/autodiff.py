@@ -199,49 +199,29 @@ def embedding_lookup(tape, table: Tensor, indices) -> Tensor:
     return _result(tape, "embedding_lookup", (table,), values, back)
 
 
-def dense(tape, x: Tensor, w: Tensor, b: Tensor | None = None,
-          activation: str = "none") -> Tensor:
-    """Affine map ``x @ w (+ b)`` with optional ``tanh``/``sigmoid`` squashing.
+def dense(tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``tanh(x @ w + b)``, the encoders' feed-forward layer.
 
-    ``x`` may be a single vector or a matrix of row vectors; a vector input
-    yields a vector output.
+    ``x`` is a matrix of row vectors, or one vector (serving's session
+    core), which yields a vector output.
     """
-    if activation not in ("none", "tanh", "sigmoid"):
-        raise ValueError(f"dense: unknown activation {activation!r}")
     if w.ndim != 2:
         raise ValueError("dense expects a 2-d weight")
     squeeze = x.ndim == 1
     xv = x.values[None, :] if squeeze else x.values
     if xv.ndim != 2 or xv.shape[1] != w.shape[0]:
         raise ValueError(f"dense: shape mismatch {x.shape} @ {w.shape}")
-    if b is not None and b.shape != (w.shape[1],):
+    if b.shape != (w.shape[1],):
         raise ValueError(f"dense: bias shape {b.shape} does not match {w.shape}")
-
-    pre = xv @ w.values
-    if b is not None:
-        pre = pre + b.values
-    if activation == "tanh":
-        out = np.tanh(pre)
-    elif activation == "sigmoid":
-        out = 0.5 * (1.0 + np.tanh(0.5 * pre))
-        out = out.astype(pre.dtype)
-    else:
-        out = pre
+    out = np.tanh(xv @ w.values + b.values)
 
     def back(g):
-        g2 = g[None, :] if squeeze else g
-        if activation == "tanh":
-            g2 = g2 * (1.0 - out * out)
-        elif activation == "sigmoid":
-            g2 = g2 * out * (1.0 - out)
+        g2 = (g[None, :] if squeeze else g) * (1.0 - out * out)
         _accum(x, (g2 @ w.values.T)[0] if squeeze else g2 @ w.values.T)
         _accum(w, xv.T @ g2)
-        if b is not None:
-            _accum(b, g2.sum(axis=0))
+        _accum(b, g2.sum(axis=0))
 
-    values = out[0] if squeeze else out
-    inputs = (x, w) if b is None else (x, w, b)
-    return _result(tape, "dense", inputs, values, back)
+    return _result(tape, "dense", (x, w, b), out[0] if squeeze else out, back)
 
 
 def seq_pool(tape, x: Tensor, mode: str, lengths) -> Tensor:
@@ -348,12 +328,20 @@ def l2_normalize(tape, x: Tensor, eps: float = 1e-12) -> Tensor:
 def cosine_distance(tape, a: Tensor, b: Tensor, slots=None) -> Tensor:
     """``1 - a.b`` for unit vectors; plain algebra, no re-normalisation.
 
-    Compares two vectors, two matrices row by row, or every row of ``a``
-    with the vector ``b``.  With ``slots``, an integer ``[B, K]`` array of
-    row indices into ``a``, entry ``[i, k]`` compares row ``slots[i, k]``
-    of ``a`` with row ``i`` of the matrix ``b``: one distance per slot.
+    Compares two matrices of one shape row by row.  With ``slots``, an
+    integer ``[B, K]`` array of row indices into ``a``, entry ``[i, k]``
+    compares row ``slots[i, k]`` of ``a`` with row ``i`` of the matrix
+    ``b``: one distance per slot.
     """
-    if slots is not None:
+    if slots is None:
+        if not (a.ndim == 2 and a.shape == b.shape):
+            raise ValueError(f"cosine_distance: cannot compare {a.shape} with {b.shape}")
+        values = a.dtype.type(1.0) - (a.values * b.values).sum(axis=1)
+
+        def back(g):
+            _accum(a, -g[:, None] * b.values)
+            _accum(b, -g[:, None] * a.values)
+    else:
         slots = np.asarray(slots)
         if not (a.ndim == b.ndim == slots.ndim == 2 and slots.shape[0] == b.shape[0]):
             raise ValueError(f"cosine_distance: cannot gather {slots.shape} slots "
@@ -370,19 +358,6 @@ def cosine_distance(tape, a: Tensor, b: Tensor, slots=None) -> Tensor:
             _accum(a, -(pair.T @ b.values))
             _accum(b, -(pair @ a.values))
 
-        return _result(tape, "cosine_distance", (a, b), values, back)
-
-    rows_vs_vector = a.ndim == 2 and b.shape == a.shape[1:]
-    if not (rows_vs_vector or (a.shape == b.shape and a.ndim in (1, 2))):
-        raise ValueError(f"cosine_distance: cannot compare {a.shape} with {b.shape}")
-    dots = a.values @ b.values if b.ndim == 1 else (a.values * b.values).sum(axis=1)
-
-    def back(g):
-        g_rows = g[:, None] if a.ndim == 2 else g
-        _accum(a, -g_rows * b.values)
-        _accum(b, -(g @ a.values) if rows_vs_vector else -g_rows * a.values)
-
-    values = np.asarray(a.dtype.type(1.0) - dots)
     return _result(tape, "cosine_distance", (a, b), values, back)
 
 

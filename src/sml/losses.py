@@ -5,8 +5,7 @@ loss node over a ``[B, 2P]`` distance matrix, with the position weights
 sqrt(1/(1+j)), the batch mean and a mask for padding folded in.  Each
 loss computes its value and its derivative with respect to the distances
 in numpy.  The pairwise losses are minimised when positives (observed next
-items) are pulled close and sampled negatives pushed away; they are also
-available elementwise over distance tensors of any one shape.
+items) are pulled close and sampled negatives pushed away.
 """
 
 from __future__ import annotations
@@ -52,12 +51,15 @@ def _sigmoid(x):
 # slopes with respect to each distance, entry by entry.
 
 def _bpr(dist_pos, dist_neg):
+    # -ln(sigmoid(dist_neg - dist_pos)); always positive
     gap = dist_pos - dist_neg
     slope = _sigmoid(gap)
     return np.logaddexp(0.0, gap), (slope, -slope)
 
 
 def _top1(dist_pos, dist_neg):
+    # sigmoid(dist_pos - dist_neg) + sigmoid((1 - dist_neg)^2); the second
+    # term regularises negatives toward distance 1 (score 0)
     rank = _sigmoid(dist_pos - dist_neg)
     slack = 1.0 - dist_neg
     reg = _sigmoid(slack * slack)
@@ -67,12 +69,14 @@ def _top1(dist_pos, dist_neg):
 
 
 def _contrastive(dist_pos, dist_neg, margin):
+    # dist_pos + max(0, dist_neg - margin)
     excess = dist_neg - margin
     return dist_pos + np.maximum(excess, 0), (np.ones_like(dist_pos), excess > 0)
 
 
 def _triplet(dist_pos, dist_neg, dist_pos_neg=None, margin=0.3):
-    # with dist_pos_neg, the swap: the closer of the two negatives counts
+    # max(0, dist_pos - dist_neg + margin); with dist_pos_neg, the swap: the
+    # closer of the two negatives counts, and an exact tie routes to dist_neg
     negative = dist_neg
     if dist_pos_neg is not None:
         take_neg = dist_neg <= dist_pos_neg
@@ -82,47 +86,6 @@ def _triplet(dist_pos, dist_neg, dist_pos_neg=None, margin=0.3):
     slopes = ((active, -active) if dist_pos_neg is None
               else (active, -active * take_neg, -active * ~take_neg))
     return np.maximum(gap, 0), slopes
-
-
-def bpr_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
-    """-ln(sigmoid(dist_neg - dist_pos)); always positive."""
-    return ad.fused(tape, "bpr_loss", (dist_pos, dist_neg),
-                    *_bpr(dist_pos.values, dist_neg.values))
-
-
-def top1_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor) -> ad.Tensor:
-    """sigmoid(dist_pos - dist_neg) + sigmoid((1 - dist_neg)^2).
-
-    The second term regularises negatives toward distance 1 (score 0).
-    """
-    return ad.fused(tape, "top1_loss", (dist_pos, dist_neg),
-                    *_top1(dist_pos.values, dist_neg.values))
-
-
-def contrastive_loss(tape, dist: ad.Tensor, same_class: bool,
-                     margin: float = 0.3) -> ad.Tensor:
-    """Pull same-class pairs together, push different pairs past the margin."""
-    values, slope = dist.values, np.ones_like(dist.values)
-    if not same_class:
-        excess = dist.values - margin
-        values, slope = np.maximum(excess, 0), excess > 0
-    return ad.fused(tape, "contrastive_loss", (dist,), values, (slope,))
-
-
-def triplet_loss(tape, dist_pos: ad.Tensor, dist_neg: ad.Tensor,
-                 dist_pos_neg: ad.Tensor | None = None, margin: float = 0.3,
-                 use_swap: bool = False) -> ad.Tensor:
-    """max(0, dist_pos - dist_neg' + margin).
-
-    With ``use_swap`` the effective negative distance is
-    min(dist_neg, dist_pos_neg); an exact tie routes the gradient to
-    ``dist_neg``.
-    """
-    if use_swap and dist_pos_neg is None:
-        raise ValueError("use_swap requires dist_pos_neg")
-    inputs = (dist_pos, dist_neg) + ((dist_pos_neg,) if use_swap else ())
-    return ad.fused(tape, "triplet_loss", inputs,
-                    *_triplet(*(t.values for t in inputs), margin=margin))
 
 
 def position_weight(j: int) -> float:

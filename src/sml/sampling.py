@@ -182,14 +182,17 @@ def build_epoch(train: Dataset, cfg: SamplerConfig, epoch: int,
     positives = np.where(np.arange(positives.shape[1]) < count[:, None],
                          positives, -1)[:, :count.max()]
 
-    # sequential rejection, uniform without replacement over the eligible
-    # items; a row that comes up short is drawn again, whole
-    negatives, todo = np.full_like(positives, -1), np.arange(len(count))
+    # one round of sequential rejection, uniform without replacement over the
+    # eligible items.  A row that comes up short (likely when its eligible
+    # items are few) gives every item a uniform key instead and takes its
+    # eligible items of lowest key, in key order: the same law, in bounded time
     excluded = np.concatenate([banned, positives], axis=1)
-    while len(todo):
-        draws = rng.integers(0, vocab_size, size=(len(todo), 2 * positives.shape[1]))
-        picked, done = first_unseen(draws, excluded[todo], count[todo])
-        negatives[todo[done], :picked.shape[1]] = picked[done]
-        todo = todo[~done]
+    draws = rng.integers(0, vocab_size, size=(len(count), 2 * positives.shape[1]))
+    negatives, done = first_unseen(draws, excluded, count)
+    short = np.flatnonzero(~done)
+    if len(short):
+        keys = rng.random((len(short), vocab_size))
+        picked, _ = first_unseen(np.argsort(keys, axis=1), excluded[short], count[short])
+        negatives[short, :picked.shape[1]] = picked
     order = rng.permutation(len(count))
     return Examples(prefixes[order], lengths[order], positives[order], negatives[order])

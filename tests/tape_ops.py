@@ -3,14 +3,34 @@
 The runtime graph needs none of these: each loss is one ``fused`` node over
 a batch's distance matrix.  The gradient oracles still build small graphs
 from them (a weighted sum as ``reduce_sum(mul(out, w))``, a per-step GRU
-from ``add``/``sub``/``mul``/``sigmoid``), so they live here, unchanged.
-:func:`grad_check` re-evaluates such graphs in float64 against central
-differences.
+from ``matmul``/``add``/``sub``/``mul``/``sigmoid``), so they live here.
+:func:`kernel` records one of the loss kernels that ``session_loss`` runs
+on its own, and :func:`grad_check` re-evaluates such graphs in float64
+against central differences.
 """
 
 import numpy as np
 
-from sml.autodiff import Tape, Tensor, _accum, _require_same_shape, _result, backward
+from sml.autodiff import (Tape, Tensor, _accum, _require_same_shape, _result, backward,
+                          fused)
+
+
+def kernel(tape, fn, inputs, **kwargs) -> Tensor:
+    """One ``fused`` node for a loss kernel such as ``losses._triplet``:
+    ``fn`` maps the inputs' values (and ``kwargs``) to ``(values, slopes)``."""
+    return fused(tape, fn.__name__, inputs, *fn(*(t.values for t in inputs), **kwargs))
+
+
+def matmul(tape, x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w`` for a vector ``x``: a linear map without bias or squashing."""
+    if x.ndim != 1:
+        raise ValueError("matmul expects a vector input")
+
+    def back(g):
+        _accum(x, g @ w.values.T)
+        _accum(w, np.outer(x.values, g))
+
+    return _result(tape, "matmul", (x, w), x.values @ w.values, back)
 
 
 def add(tape, a: Tensor, b: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from sml import (baselines, data, evaluation, index, losses, sampling,
                  synth, trainer)
 from sml.encoders import ModelConfig, build_model
 from sml.index import SmlRecommender
-from tape_ops import grad_check, mul, reduce_sum
+from tape_ops import grad_check, kernel, mul, reduce_sum
 from test_baselines import CORPUS, make_dataset
 
 
@@ -58,12 +58,11 @@ def _check_embedding_lookup(trial):
 
 def _check_dense(trial):
     rng = np.random.default_rng([102, trial])
-    activation = ("none", "tanh", "sigmoid")[trial % 3]
     params = {"x": rng.normal(size=(3, 4)), "w": rng.normal(size=(4, 2)),
               "b": rng.normal(size=2)}
 
     def build(tape, ts):
-        out = ad.dense(tape, ts["x"], ts["w"], ts["b"], activation=activation)
+        out = ad.dense(tape, ts["x"], ts["w"], ts["b"])
         return _weighted_sum(tape, ts, out, np.random.default_rng([2, trial]))
 
     return grad_check(build, params)
@@ -145,10 +144,11 @@ def _check_l2_normalize(trial):
 
 def _check_cosine_distance(trial):
     rng = np.random.default_rng([108, trial])
-    params = {"a": rng.normal(size=4), "b": rng.normal(size=4)}
+    params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
 
     def build(tape, ts):
-        return ad.cosine_distance(tape, ts["a"], ts["b"])
+        out = ad.cosine_distance(tape, ts["a"], ts["b"])
+        return _weighted_sum(tape, ts, out, np.random.default_rng([8, trial]))
 
     return grad_check(build, params)
 
@@ -163,7 +163,7 @@ def _check_bpr(trial):
               "dn": np.array(_rand_distance(rng))}
 
     def build(tape, ts):
-        return losses.bpr_loss(tape, ts["dp"], ts["dn"])
+        return kernel(tape, losses._bpr, (ts["dp"], ts["dn"]))
 
     return grad_check(build, params)
 
@@ -174,24 +174,21 @@ def _check_top1(trial):
               "dn": np.array(_rand_distance(rng))}
 
     def build(tape, ts):
-        return losses.top1_loss(tape, ts["dp"], ts["dn"])
+        return kernel(tape, losses._top1, (ts["dp"], ts["dn"]))
 
     return grad_check(build, params)
 
 
 def _check_contrastive(trial):
     rng = np.random.default_rng([203, trial])
-    same = trial % 2 == 0
     while True:
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        dist = 1.0 - float(a @ b)
-        if same or abs(dist - 0.3) > 0.02:  # stay off the hinge corner
+        dp, dn = _rand_distance(rng), _rand_distance(rng)
+        if abs(dn - 0.3) > 0.02:  # stay off the hinge corner
             break
-    params = {"a": a, "b": b}
+    params = {"dp": np.array(dp), "dn": np.array(dn)}
 
     def build(tape, ts):
-        return losses.contrastive_loss(
-            tape, ad.cosine_distance(tape, ts["a"], ts["b"]), same, margin=0.3)
+        return kernel(tape, losses._contrastive, (ts["dp"], ts["dn"]), margin=0.3)
 
     return grad_check(build, params)
 
@@ -213,10 +210,8 @@ def _triplet_units(margin, use_swap):
             params["dpn"] = np.array(dpn)
 
         def build(tape, ts):
-            return losses.triplet_loss(
-                tape, ts["dp"], ts["dn"],
-                dist_pos_neg=ts.get("dpn"),
-                margin=margin, use_swap=use_swap)
+            return kernel(tape, losses._triplet, [ts[name] for name in params],
+                          margin=margin)
 
         return grad_check(build, params)
 
@@ -282,19 +277,19 @@ def test_criterion_01_gradient_correctness():
 
 def _scalar_loss(fn, *args, **kwargs):
     tensors = [ad.constant(np.array(a, dtype=np.float64)) for a in args]
-    return float(fn(None, *tensors, **kwargs).values)
+    return float(kernel(None, fn, tensors, **kwargs).values)
 
 
 def test_criterion_02_loss_identities():
     checks = []
 
-    v = _scalar_loss(losses.triplet_loss, 0.2, 0.6, margin=0.3)
+    v = _scalar_loss(losses._triplet, 0.2, 0.6, margin=0.3)
     checks.append(("triplet(0.2,0.6,m=0.3)=0", abs(v - 0.0) <= 1e-6, v))
 
-    v = _scalar_loss(losses.bpr_loss, 0.4, 0.4)
+    v = _scalar_loss(losses._bpr, 0.4, 0.4)
     checks.append(("bpr(d,d)=ln2", abs(v - np.log(2.0)) <= 1e-6, v))
 
-    v = _scalar_loss(losses.top1_loss, 1.0, 1.0)
+    v = _scalar_loss(losses._top1, 1.0, 1.0)
     checks.append(("top1(1,1)=1", abs(v - 1.0) <= 1e-6, v))
 
     # softmax of negated distances equals the smoothed target (0.85, 0.15)

@@ -315,6 +315,25 @@ class TestTrain:
         assert "overflow in epoch 0" in capsys.readouterr().err
         assert not (out_dir / "model.bin").exists()
 
+    def test_knn_augment_on_a_small_vocabulary_finishes(self, tmp_path):
+        # kNN tops rows up to 30 positives on the 50-item demo corpus, which
+        # leaves many rows few eligible negatives: sampling must still end,
+        # so a regression fails at the timeout instead of hanging the suite
+        events = tmp_path / "events.csv"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        subprocess.run([sys.executable, str(REPO / "scripts" / "make_synthetic.py"),
+                        "--out", str(events)], check=True, capture_output=True, env=env)
+        out_dir = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["preprocess", "--input", str(events),
+                         "--out-dir", str(out_dir)]) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "sml", "train", "--train", str(out_dir / "train.jsonl"),
+             "--model-out", str(out_dir / "model.bin"), "--max-epochs", "1", "--dim", "8",
+             "--knn-augment", "--samples-per-session", "30"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+
     def test_one_session_file_is_data_error(self, tmp_path, capsys):
         write_sessions_jsonl(tmp_path / "train.jsonl", [["a", "b", "c"]])
         assert main(train_args(tmp_path)) == 2

@@ -217,8 +217,8 @@ class TestEncode:
 
 class TestScore:
     def test_identical_vectors_score_one(self):
-        vec = encoders.encode_session(make_model(), [3, 4])
-        dist = float(ad.cosine_distance(None, vec, vec).values)
+        rows = ad.constant(encoders.encode_session(make_model(), [3, 4]).values[None])
+        dist = float(ad.cosine_distance(None, rows, rows).values[0])
         assert abs((1.0 - dist) - 1.0) < 1e-6
 
 

@@ -12,7 +12,7 @@ from sml import encoders, losses, sampling
 
 from conftest import (encoder_loss_builder, make_examples, make_model, numpy_item_vectors,
                       padded)
-from tape_ops import add, grad_check, mul
+from tape_ops import add, grad_check, kernel, mul
 
 
 def dist(value):
@@ -24,41 +24,41 @@ def dists(values):
 
 
 def loss_value(fn, *dists, **kwargs):
-    return float(fn(ad.Tape(), *[dist(v) for v in dists], **kwargs).values)
+    return float(kernel(ad.Tape(), fn, [dist(v) for v in dists], **kwargs).values)
 
 
 def loss_grads(fn, *values, **kwargs):
     tensors = [dist(v) for v in values]
     tape = ad.Tape()
-    out = fn(tape, *tensors, **kwargs)
+    out = kernel(tape, fn, tensors, **kwargs)
     ad.backward(tape, out)
     return [0.0 if t.grad is None else float(t.grad) for t in tensors]
 
 
 class TestBpr:
     def test_equal_distances_gives_ln2(self):
-        assert abs(loss_value(losses.bpr_loss, 0.7, 0.7) - math.log(2.0)) < 1e-6
+        assert abs(loss_value(losses._bpr, 0.7, 0.7) - math.log(2.0)) < 1e-6
 
     def test_well_separated_is_small(self):
-        assert loss_value(losses.bpr_loss, 0.0, 2.0) < 0.2
+        assert loss_value(losses._bpr, 0.0, 2.0) < 0.2
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2), st.floats(0, 2))
     def test_always_positive_with_monotone_gradients(self, dp, dn):
-        assert loss_value(losses.bpr_loss, dp, dn) > 0.0
-        g_dp, g_dn = loss_grads(losses.bpr_loss, dp, dn)
+        assert loss_value(losses._bpr, dp, dn) > 0.0
+        g_dp, g_dn = loss_grads(losses._bpr, dp, dn)
         assert g_dp >= 0.0
         assert g_dn <= 0.0
 
 
 class TestTop1:
     def test_equal_distances_at_one(self):
-        assert abs(loss_value(losses.top1_loss, 1.0, 1.0) - 1.0) < 1e-6
+        assert abs(loss_value(losses._top1, 1.0, 1.0) - 1.0) < 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2), st.floats(0, 2))
     def test_range_open_zero_two(self, dp, dn):
-        value = loss_value(losses.top1_loss, dp, dn)
+        value = loss_value(losses._top1, dp, dn)
         assert 0.0 < value < 2.0
 
     @settings(max_examples=60, deadline=None)
@@ -66,81 +66,71 @@ class TestTop1:
     def test_monotone_gradients_while_negative_below_one(self, dp, dn):
         # the (1 - dist_neg)^2 regulariser reverses direction past dist 1,
         # so the push-away guarantee holds on [0, 1] only
-        g_dp, g_dn = loss_grads(losses.top1_loss, dp, dn)
+        g_dp, g_dn = loss_grads(losses._top1, dp, dn)
         assert g_dp >= 0.0
         assert g_dn <= 1e-12
 
 
 class TestContrastive:
-    def _unit(self, raw):
-        return ad.l2_normalize(None, ad.constant(np.asarray(raw, dtype=np.float64)))
+    """The positive is the same-class pair, the negative the different one."""
 
     def test_same_class_equals_distance(self):
-        a, b = self._unit([1.0, 0.2]), self._unit([0.4, -0.9])
-        expected = 1.0 - float(a.values @ b.values)
-        tape = ad.Tape()
-        out = losses.contrastive_loss(tape, ad.cosine_distance(tape, a, b),
-                                      same_class=True)
-        np.testing.assert_allclose(float(out.values), expected, atol=1e-12)
+        # a negative inside the margin adds nothing: the positive's distance
+        a, b = (ad.l2_normalize(None, ad.constant(np.array([raw]))) for raw in
+                ([1.0, 0.2], [0.4, -0.9]))
+        d_pos = ad.cosine_distance(None, a, b)
+        out = kernel(None, losses._contrastive, (d_pos, dists([0.1])), margin=0.3)
+        np.testing.assert_allclose(out.values, 1.0 - a.values[0] @ b.values[0],
+                                   atol=1e-12)
 
     def test_different_class_inside_margin_is_zero_with_zero_grad(self):
-        a = ad.parameter(np.array([1.0, 0.0]))
-        b = ad.parameter(np.array([0.99, np.sqrt(1 - 0.99 ** 2)]))  # d ~ 0.01
+        d_pos, d_neg = dist(0.0), dist(0.01)
         tape = ad.Tape()
-        out = losses.contrastive_loss(tape, ad.cosine_distance(tape, a, b),
-                                      same_class=False, margin=0.3)
+        out = kernel(tape, losses._contrastive, (d_pos, d_neg), margin=0.3)
         assert float(out.values) == 0.0
         ad.backward(tape, out)
-        np.testing.assert_array_equal(a.grad, 0.0)
-        np.testing.assert_array_equal(b.grad, 0.0)
+        assert float(d_neg.grad) == 0.0
+        assert float(d_pos.grad) == 1.0
 
     def test_different_class_beyond_margin(self):
-        a, b = self._unit([1.0, 0.0]), self._unit([-1.0, 0.0])  # d = 2
-        tape = ad.Tape()
-        out = losses.contrastive_loss(tape, ad.cosine_distance(tape, a, b),
-                                      same_class=False, margin=0.3)
-        np.testing.assert_allclose(float(out.values), 1.7, atol=1e-12)
+        np.testing.assert_allclose(
+            loss_value(losses._contrastive, 0.0, 2.0, margin=0.3), 1.7, atol=1e-12)
 
 
 class TestTriplet:
     def test_satisfied_triplet_is_zero(self):
-        assert loss_value(losses.triplet_loss, 0.2, 0.6, margin=0.3) == 0.0
+        assert loss_value(losses._triplet, 0.2, 0.6, margin=0.3) == 0.0
 
     def test_violated_triplet(self):
         np.testing.assert_allclose(
-            loss_value(losses.triplet_loss, 0.6, 0.2, margin=0.3), 0.7, atol=1e-12)
+            loss_value(losses._triplet, 0.6, 0.2, margin=0.3), 0.7, atol=1e-12)
 
     def test_margin_disabled(self):
         np.testing.assert_allclose(
-            loss_value(losses.triplet_loss, 0.5, 0.4, margin=0.0), 0.1,
+            loss_value(losses._triplet, 0.5, 0.4, margin=0.0), 0.1,
             atol=1e-12)
 
     def test_swap_uses_closer_negative(self):
         tape = ad.Tape()
-        out = losses.triplet_loss(tape, dist(0.5), dist(0.9), dist(0.4),
-                                  margin=0.3, use_swap=True)
+        out = kernel(tape, losses._triplet, (dist(0.5), dist(0.9), dist(0.4)), margin=0.3)
         np.testing.assert_allclose(float(out.values), 0.4, atol=1e-12)
-
-    def test_swap_requires_third_distance(self):
-        with pytest.raises(ValueError):
-            losses.triplet_loss(ad.Tape(), dist(0.5), dist(0.9), use_swap=True)
 
     def test_swap_tie_routes_gradient_to_session_negative(self):
         d_pos, d_neg, d_pn = dist(0.9), dist(0.4), dist(0.4)
         tape = ad.Tape()
-        out = losses.triplet_loss(tape, d_pos, d_neg, d_pn, margin=0.3, use_swap=True)
+        out = kernel(tape, losses._triplet, (d_pos, d_neg, d_pn), margin=0.3)
         ad.backward(tape, out)
         assert float(d_neg.grad) == -1.0
         assert d_pn.grad is None or float(d_pn.grad) == 0.0
 
     def test_zero_region_has_exactly_zero_gradient(self):
-        g_dp, g_dn = loss_grads(losses.triplet_loss, 0.2, 0.6, margin=0.3)
+        g_dp, g_dn = loss_grads(losses._triplet, 0.2, 0.6, margin=0.3)
         assert g_dp == 0.0 and g_dn == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2), st.floats(0, 2))
     def test_monotone_gradients(self, dp, dn):
-        g_dp, g_dn = loss_grads(losses.triplet_loss, dp, dn)
+        g_dp, g_dn = loss_grads(losses._triplet, dp, dn)
         assert g_dp >= 0.0
         assert g_dn <= 0.0
 
@@ -154,8 +144,8 @@ class TestPositionWeights:
     def test_weighted_sum_hand_example(self):
         # positions 0 and 1 with distances (0.1, 0.8) and (0.9, 0.3)
         tape = ad.Tape()
-        t0 = losses.triplet_loss(tape, dist(0.1), dist(0.8), margin=0.3)
-        t1 = losses.triplet_loss(tape, dist(0.9), dist(0.3), margin=0.3)
+        t0 = kernel(tape, losses._triplet, (dist(0.1), dist(0.8)), margin=0.3)
+        t1 = kernel(tape, losses._triplet, (dist(0.9), dist(0.3)), margin=0.3)
         w0, w1 = (ad.constant(np.asarray(losses.position_weight(i), dtype=t0.dtype))
                   for i in (0, 1))
         total = add(tape, mul(tape, t0, w0), mul(tape, t1, w1))
@@ -358,14 +348,12 @@ def test_tape_size_does_not_grow_with_batch_size(encoder, kind):
 
 
 LOSS_CALLS = {
-    "bpr": lambda tape, d: losses.bpr_loss(tape, d[0], d[1]),
-    "top1": lambda tape, d: losses.top1_loss(tape, d[0], d[1]),
-    "contrastive_same": lambda tape, d: losses.contrastive_loss(tape, d[0], True),
-    "contrastive_different": lambda tape, d: losses.contrastive_loss(tape, d[0], False),
-    "triplet": lambda tape, d: losses.triplet_loss(tape, d[0], d[1]),
-    "triplet_no_margin": lambda tape, d: losses.triplet_loss(tape, d[0], d[1], margin=0.0),
-    "triplet_swap": lambda tape, d: losses.triplet_loss(tape, d[0], d[1], d[2],
-                                                        use_swap=True),
+    "bpr": lambda tape, d: kernel(tape, losses._bpr, d[:2]),
+    "top1": lambda tape, d: kernel(tape, losses._top1, d[:2]),
+    "contrastive": lambda tape, d: kernel(tape, losses._contrastive, d[:2], margin=0.3),
+    "triplet": lambda tape, d: kernel(tape, losses._triplet, d[:2]),
+    "triplet_no_margin": lambda tape, d: kernel(tape, losses._triplet, d[:2], margin=0.0),
+    "triplet_swap": lambda tape, d: kernel(tape, losses._triplet, d),
     "ncas": lambda tape, d: losses.ncas_from_distances(tape, d[2], [True, False, True]),
     "ncas_model_first": lambda tape, d: losses.ncas_from_distances(
         tape, d[2], [True, False, True], model_first=True),
@@ -396,18 +384,24 @@ def test_config_rejects_non_finite_margin(margin):
     ("Triplet", {"margin": 0.0}),
     ("NCAS", {}),
     ("NCAS", {"kld_model_first": True}),
+    ("BPR", {"position_weighting": False}),
 ])
 def test_loss_gradients_through_full_encoder(kind, cfg_kwargs):
+    """The one loss node training records, checked whole: position weights,
+    the padding mask of uneven widths, swap routing, the NCAS mask of a
+    repeated positive and each kind's slopes."""
     cfg = encoders.ModelConfig(vocab_size=8, embedding_dim=4,
                                encoder_kind="MaxPool", max_session_length=5)
     loss_cfg = losses.LossConfig(kind=kind, **cfg_kwargs)
+    batch = make_examples([([0, 5, 2], [3, 6, 3], [1, 7, 4]), ([4], [3], [0]),
+                           ([6, 1], [2, 5], [7, 0])])
 
     def loss_fn(tape, model):
-        batch = make_examples([([0, 5, 2], [3, 6], [1, 7]), ([4], [3], [0])])
         return losses.session_loss(tape, model, batch, loss_cfg)
 
-    params, build = encoder_loss_builder(cfg, loss_fn)
-    assert grad_check(build, params) < 1e-3
+    for seed in range(3):
+        params, build = encoder_loss_builder(cfg, loss_fn, seed=seed)
+        assert grad_check(build, params) < 1e-3
 
 
 @pytest.mark.parametrize("encoder", ["MaxPool", "AvgPool", "GRU", "TextCNN"])

@@ -321,17 +321,28 @@ def scalar_walk(draws, excluded, count):
     return out[:count]
 
 
-def chi_square_homogeneous(a, b, z=3.09):
-    """Two-sample chi-square test of equal category frequencies; True when
-    the statistic stays below the upper 0.001 quantile of its distribution
-    (Wilson-Hilferty approximation)."""
+def chi_square_below_quantile(stat, df, z=3.09):
+    """Whether a chi-square statistic stays below the upper 0.001 quantile
+    of its distribution (Wilson-Hilferty approximation)."""
+    bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+    return stat < bound, (stat, bound)
+
+
+def chi_square_homogeneous(a, b):
+    """Two-sample chi-square test of equal category frequencies."""
     table = np.array([a, b], dtype=float)
     table = table[:, table.sum(axis=0) > 0]
     expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / table.sum()
     stat = float(((table - expected) ** 2 / expected).sum())
-    df = table.shape[1] - 1
-    bound = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
-    return stat < bound, (stat, bound)
+    return chi_square_below_quantile(stat, table.shape[1] - 1)
+
+
+def chi_square_uniform(counts):
+    """Goodness-of-fit test of counts against equal frequencies."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / len(counts)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return chi_square_below_quantile(stat, len(counts) - 1)
 
 
 sessions_strategy = st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=10),
@@ -459,6 +470,61 @@ class TestArraySampler:
             assert not set(negatives) & set(positives)
             if exclude_prefix:
                 assert not set(negatives) & set(prefix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 23), min_size=2, max_size=12),
+                    min_size=1, max_size=6),
+           st.integers(8, 40), st.integers(1, 40), st.sampled_from(sampling.STRATEGIES),
+           st.booleans(), st.integers(0, 2 ** 31))
+    def test_knn_augment_on_tiny_vocabularies_returns(self, sessions, spp, knn_k,
+                                                      strategy, exclude_prefix, seed):
+        # kNN tops positive lists up to as much of the vocabulary as can still
+        # pair with distinct negatives, which leaves rows few eligible items
+        train = session_dataset(sessions)
+        model = make_model(vocab=len(train.vocab), dim=4, seed=seed % 7)
+        cfg = sampling.SamplerConfig(strategy=strategy, samples_per_session=spp,
+                                     window_size=3, knn_augment=True, knn_k=knn_k,
+                                     rng_seed=seed, exclude_prefix_negatives=exclude_prefix)
+        if not trainable(train, cfg):
+            return
+        for prefix, positives, negatives in example_rows(
+                sampling.build_epoch(train, cfg, seed % 5, model)):
+            assert len(negatives) == len(set(negatives)) == len(positives)
+            assert not set(negatives) & set(positives)
+            if exclude_prefix:
+                assert not set(negatives) & set(prefix)
+
+    def test_rows_short_after_one_round_draw_uniform_ordered_tuples(self, monkeypatch):
+        # ten copies of items 0-47 and one session of the 4 others: the cut
+        # before a copy's last two items, its prefix excluded, leaves those 4
+        # for its 2 negatives, which 4 uniform draws over 52 items seldom
+        # both find; every ordered pair of the 4 must come up alike
+        train = session_dataset([list(range(48))] * 10 + [list(range(48, 52))])
+        cfg = sampling.SamplerConfig(strategy="sliding_window", window_size=48,
+                                     samples_per_session=2, rng_seed=13,
+                                     exclude_prefix_negatives=True)
+        vocab = len(train.vocab)
+        round_one = sampling.first_unseen
+        second_round = []
+
+        def spy(draws, excluded, count):  # the second round ranks the vocabulary
+            if draws.shape[1] == vocab:
+                four_left = np.sum(excluded >= 0, axis=1) == vocab - 4
+                second_round.append(np.sum(four_left & (count == 2)))
+            return round_one(draws, excluded, count)
+
+        monkeypatch.setattr(sampling, "first_unseen", spy)
+        counts, rows = {}, 0
+        for epoch in range(60):
+            examples = sampling.build_epoch(train, cfg, epoch)
+            for prefix, positives, negatives in example_rows(examples[examples.lengths == 46]):
+                assert set(negatives) <= set(range(vocab)) - set(prefix) - set(positives)
+                counts[tuple(negatives)] = counts.get(tuple(negatives), 0) + 1
+                rows += 1
+        assert sum(second_round) >= 0.9 * rows
+        assert len(counts) == 12
+        ok, detail = chi_square_uniform(list(counts.values()))
+        assert ok, detail
 
     def test_same_epoch_same_arrays_other_epoch_other_arrays(self):
         train = session_dataset([[k % 7, (k + 1) % 7, (k + 3) % 7] for k in range(20)])
